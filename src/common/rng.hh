@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 namespace wg {
 
 /**
@@ -40,6 +42,14 @@ std::uint64_t streamSeed(std::uint64_t seed, std::uint64_t stream);
 struct RngState {
     std::uint64_t state = 0; ///< PCG LCG accumulator
     std::uint64_t inc = 1;   ///< stream increment (always odd)
+
+    static constexpr auto
+    fields()
+    {
+        using S = RngState;
+        return std::tuple{field("state", &S::state),
+                          field("inc", &S::inc)};
+    }
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "threadpool.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "logging.hh"
@@ -11,6 +12,9 @@ namespace {
 /** Identity of the pool worker running on this thread, if any. */
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local unsigned tls_index = 0;
+
+/** Time this thread spent in tasks nested inside the running one. */
+thread_local std::uint64_t tls_nested_ns = 0;
 
 } // namespace
 
@@ -113,16 +117,23 @@ ThreadPool::tryRunOne()
 void
 ThreadPool::runTask(std::function<void()>& task)
 {
+    const std::uint64_t outer_nested = tls_nested_ns;
+    tls_nested_ns = 0;
     // Pool self-profiling only (PoolStats.busySeconds); never feeds
     // simulation results. wglint:allow(D1)
     auto t0 = std::chrono::steady_clock::now();
     task();
     auto t1 = std::chrono::steady_clock::now(); // wglint:allow(D1)
-    auto ns =
+    const auto ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count();
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(ns),
-                       std::memory_order_relaxed);
+            .count());
+    // Tasks this one ran while helping in wait() timed themselves;
+    // count only the exclusive rest, and only on this pool's workers,
+    // so busy time never exceeds size() x wall time.
+    if (tls_pool == this)
+        busy_ns_.fetch_add(ns - std::min(ns, tls_nested_ns),
+                           std::memory_order_relaxed);
+    tls_nested_ns = outer_nested + ns;
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -38,7 +38,7 @@ namespace wg {
 struct PoolStats
 {
     std::uint64_t tasksExecuted = 0; ///< tasks run to completion
-    double busySeconds = 0.0;        ///< summed task execution time
+    double busySeconds = 0.0;        ///< exclusive task time, workers only
     std::uint64_t steals = 0;        ///< tasks taken from a sibling deque
     std::uint64_t queueDepth = 0;    ///< tasks queued, not yet started
     std::uint64_t active = 0;        ///< tasks currently executing
@@ -141,11 +141,13 @@ class ThreadPool
     bool draining() const;
 
     /**
-     * Tasks executed and summed busy time since construction. The
-     * counters are sampled independently (not a consistent snapshot);
-     * utilization derived from them is a profiling estimate. Summed
-     * busy time can exceed wall-clock time on a multi-worker pool —
-     * utilization = busySeconds / (elapsed * size()). queueDepth,
+     * Tasks executed (by any thread) and busy time since
+     * construction. The counters are sampled independently (not a
+     * consistent snapshot); utilization derived from them is a
+     * profiling estimate. Busy time is exclusive — a task that runs
+     * nested tasks while it waits is not charged for them — and counts
+     * worker threads only, so utilization = busySeconds /
+     * (elapsed * size()) stays within [0, 1]. queueDepth,
      * active, steals, and draining are a point-in-time view taken
      * under the pool lock.
      */

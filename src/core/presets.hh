@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "sim/config.hh"
 
 namespace wg {
@@ -47,6 +48,17 @@ struct ExperimentOptions
     Cycle idleDetect = 5;     ///< default idle-detect window (§7.1)
     Cycle breakEven = 14;     ///< default break-even time (§7.1)
     Cycle wakeupDelay = 3;    ///< default wakeup delay (§7.1)
+
+    static constexpr auto
+    fields()
+    {
+        using S = ExperimentOptions;
+        return std::tuple{field("numSms", &S::numSms),
+                          field("seed", &S::seed),
+                          field("idleDetect", &S::idleDetect),
+                          field("breakEven", &S::breakEven),
+                          field("wakeupDelay", &S::wakeupDelay)};
+    }
 };
 
 /**

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace wg {
@@ -44,6 +45,15 @@ struct Completion
     WarpId warp;        ///< producing warp
     RegId dest;         ///< destination register (kNoReg for stores)
     bool longLatency;   ///< true for global-miss loads
+
+    static constexpr auto
+    fields()
+    {
+        using S = Completion;
+        return std::tuple{field("done", &S::done), field("warp", &S::warp),
+                          field("dest", &S::dest),
+                          field("longLatency", &S::longLatency)};
+    }
 };
 
 /**
@@ -57,6 +67,16 @@ struct ExecUnitState {
     std::uint64_t issues = 0;           ///< lifetime issue count
     std::vector<Cycle> occupancy;       ///< occupancy-end cycles
     std::vector<Completion> completions; ///< in-flight results
+
+    static constexpr auto
+    fields()
+    {
+        using S = ExecUnitState;
+        return std::tuple{field("lastIssue", &S::lastIssue),
+                          field("issues", &S::issues),
+                          field("occupancy", &S::occupancy),
+                          field("completions", &S::completions)};
+    }
 };
 
 /**

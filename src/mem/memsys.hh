@@ -62,6 +62,22 @@ struct MemSystemState {
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
     std::uint64_t mshrRejects = 0;
+
+    static constexpr auto
+    fields()
+    {
+        using S = MemSystemState;
+        return std::tuple{field("rng", &S::rng),
+                          field("batchTime", &S::batchTime),
+                          field("batchUsed", &S::batchUsed),
+                          field("batchLatency", &S::batchLatency),
+                          field("batchValid", &S::batchValid),
+                          field("inflight", &S::inflight),
+                          field("hits", &S::hits),
+                          field("misses", &S::misses),
+                          field("stores", &S::stores),
+                          field("mshrRejects", &S::mshrRejects)};
+    }
 };
 
 /**

@@ -1,111 +1,69 @@
 #include "registry.hh"
 
+#include <type_traits>
+
 namespace wg::metrics {
 
+namespace {
+
+template <Listed S>
+void appendFields(StatSet& set, const std::string& prefix, const S& s);
+
+/** Register one value (a scalar or a nested listed struct). */
+template <class T>
 void
-appendPgDomainStats(StatSet& set, const std::string& prefix,
-                    const PgDomainStats& s)
+appendValue(StatSet& set, const std::string& name, const T& v)
 {
-    set.set(prefix + ".busyCycles", static_cast<double>(s.busyCycles));
-    set.set(prefix + ".idleOnCycles",
-            static_cast<double>(s.idleOnCycles));
-    set.set(prefix + ".uncompCycles",
-            static_cast<double>(s.uncompCycles));
-    set.set(prefix + ".compCycles", static_cast<double>(s.compCycles));
-    set.set(prefix + ".wakeupCycles",
-            static_cast<double>(s.wakeupCycles));
-    set.set(prefix + ".gatingEvents",
-            static_cast<double>(s.gatingEvents));
-    set.set(prefix + ".wakeups", static_cast<double>(s.wakeups));
-    set.set(prefix + ".uncompWakeups",
-            static_cast<double>(s.uncompWakeups));
-    set.set(prefix + ".criticalWakeups",
-            static_cast<double>(s.criticalWakeups));
-    set.set(prefix + ".coordImmediateGates",
-            static_cast<double>(s.coordImmediateGates));
-    set.set(prefix + ".coordGateVetoes",
-            static_cast<double>(s.coordGateVetoes));
+    if constexpr (Listed<T>)
+        appendFields(set, name, v);
+    else if constexpr (std::is_same_v<T, bool>)
+        set.set(name, v ? 1.0 : 0.0);
+    else
+        set.set(name, static_cast<double>(v));
 }
 
+/** Call @p fn on each element of a (possibly nested) array, row-major. */
+template <class T, class Fn>
 void
-appendClusterStats(StatSet& set, const std::string& prefix,
-                   const ClusterStats& s)
+forEachElement(const T& v, Fn&& fn)
 {
-    appendPgDomainStats(set, prefix, s.pg);
-    set.set(prefix + ".issues", static_cast<double>(s.issues));
-}
-
-void
-appendUnitEnergy(StatSet& set, const std::string& prefix,
-                 const UnitEnergy& e)
-{
-    set.set(prefix + ".dynamicJ", e.dynamicE);
-    set.set(prefix + ".staticJ", e.staticE);
-    set.set(prefix + ".overheadJ", e.overheadE);
-    set.set(prefix + ".staticSavedJ", e.staticSaved);
-    set.set(prefix + ".staticNoPgJ", e.staticNoPg);
-    set.set(prefix + ".totalJ", e.total());
-    set.set(prefix + ".savingsRatio", e.staticSavingsRatio());
-}
-
-void
-appendSmStats(StatSet& set, const std::string& prefix, const SmStats& s)
-{
-    set.set(prefix + ".cycles", static_cast<double>(s.cycles));
-    set.set(prefix + ".completed", s.completed ? 1.0 : 0.0);
-
-    set.set(prefix + ".instructions",
-            static_cast<double>(s.issuedTotal));
-    static const char* kClassNames[kNumUnitClasses] = {"int", "fp",
-                                                       "sfu", "ldst"};
-    for (std::size_t c = 0; c < kNumUnitClasses; ++c)
-        set.set(prefix + ".issued." + kClassNames[c],
-                static_cast<double>(s.issuedByClass[c]));
-
-    static const char* kClusterNames[2][2] = {{"int0", "int1"},
-                                              {"fp0", "fp1"}};
-    for (unsigned t = 0; t < 2; ++t)
-        for (unsigned c = 0; c < 2; ++c)
-            appendClusterStats(set,
-                               prefix + ".pg." + kClusterNames[t][c],
-                               s.clusters[t][c]);
-    appendClusterStats(set, prefix + ".pg.sfu", s.sfuCluster);
-
-    set.set(prefix + ".units.sfuIssues",
-            static_cast<double>(s.sfuIssues));
-    set.set(prefix + ".units.ldstIssues",
-            static_cast<double>(s.ldstIssues));
-    set.set(prefix + ".units.sfuBusyCycles",
-            static_cast<double>(s.sfuBusyCycles));
-    set.set(prefix + ".units.ldstBusyCycles",
-            static_cast<double>(s.ldstBusyCycles));
-
-    set.set(prefix + ".sched.activeSizeAccum",
-            static_cast<double>(s.activeSizeAccum));
-    set.set(prefix + ".sched.activeSizeMax",
-            static_cast<double>(s.activeSizeMax));
-    set.set(prefix + ".sched.prioritySwitches",
-            static_cast<double>(s.prioritySwitches));
-    set.set(prefix + ".sched.wakeupRequests",
-            static_cast<double>(s.wakeupRequests));
-
-    set.set(prefix + ".mem.hits", static_cast<double>(s.memHits));
-    set.set(prefix + ".mem.misses", static_cast<double>(s.memMisses));
-    set.set(prefix + ".mem.stores", static_cast<double>(s.memStores));
-    set.set(prefix + ".mem.mshrRejects",
-            static_cast<double>(s.mshrRejects));
-
-    static const char* kTypeNames[2] = {"int", "fp"};
-    for (unsigned t = 0; t < 2; ++t) {
-        const std::string p = prefix + ".adaptive." + kTypeNames[t];
-        set.set(p + ".finalIdleDetect",
-                static_cast<double>(s.finalIdleDetect[t]));
-        set.set(p + ".increments",
-                static_cast<double>(s.adaptIncrements[t]));
-        set.set(p + ".decrements",
-                static_cast<double>(s.adaptDecrements[t]));
+    if constexpr (kIsStdArray<T>) {
+        for (const auto& e : v)
+            forEachElement(e, fn);
+    } else {
+        fn(v);
     }
 }
+
+/**
+ * Register every listed field of @p s under `<prefix>.<stat name>`
+ * (Field::stat). Histograms are distributions, not registry scalars.
+ */
+template <Listed S>
+void
+appendFields(StatSet& set, const std::string& prefix, const S& s)
+{
+    forEachField<S>([&](const auto& f) {
+        using M = typename std::decay_t<decltype(f)>::Member;
+        const std::string name = f.stat ? f.stat : f.key;
+        if constexpr (kIsStdArray<M>) {
+            // One entry per element: labels[i] replaces the '*'.
+            const std::size_t star = name.find('*');
+            std::size_t i = 0;
+            forEachElement(s.*f.member, [&](const auto& e) {
+                std::string n = name;
+                appendValue(set,
+                            prefix + "." + n.replace(star, 1, f.labels[i++]),
+                            e);
+            });
+        } else if constexpr (!std::is_same_v<M, Histogram>) {
+            appendValue(set, name.empty() ? prefix : prefix + "." + name,
+                        s.*f.member);
+        }
+    });
+}
+
+} // namespace
 
 StatSet
 toStatSet(const SimResult& r)
@@ -114,7 +72,7 @@ toStatSet(const SimResult& r)
 
     // The aggregate is an SmStats whose `cycles` is the per-SM sum;
     // correct the headline entries to the result's semantics below.
-    appendSmStats(set, "gpu", r.aggregate);
+    appendFields(set, "gpu", r.aggregate);
     set.set("gpu.cycles", static_cast<double>(r.cycles));
     set.set("gpu.totalSmCycles", static_cast<double>(r.totalSmCycles));
 
@@ -128,7 +86,7 @@ toStatSet(const SimResult& r)
     for (UnitClass uc : {UnitClass::Int, UnitClass::Fp}) {
         const std::string p = std::string("gpu.pg.") +
                               (uc == UnitClass::Int ? "int" : "fp");
-        appendPgDomainStats(set, p, r.typeStats(uc));
+        appendFields(set, p, r.typeStats(uc));
         double busy_frac = 0.0;
         if (r.totalSmCycles > 0)
             busy_frac = static_cast<double>(r.typeStats(uc).busyCycles) /
@@ -141,10 +99,15 @@ toStatSet(const SimResult& r)
                 r.criticalWakeupsPer1k(uc));
     }
 
-    appendUnitEnergy(set, "gpu.energy.int", r.intEnergy);
-    appendUnitEnergy(set, "gpu.energy.fp", r.fpEnergy);
-    appendUnitEnergy(set, "gpu.energy.sfu", r.sfuEnergy);
-    appendUnitEnergy(set, "gpu.energy.ldst", r.ldstEnergy);
+    for (UnitClass uc : {UnitClass::Int, UnitClass::Fp, UnitClass::Sfu,
+                         UnitClass::Ldst}) {
+        const std::string p = std::string("gpu.energy.") +
+                              SmStats::kClassLabels[static_cast<int>(uc)];
+        const UnitEnergy& e = r.energy(uc);
+        appendFields(set, p, e);
+        set.set(p + ".totalJ", e.total());
+        set.set(p + ".savingsRatio", e.staticSavingsRatio());
+    }
 
     for (std::size_t s = 0; s < r.smCycles.size(); ++s)
         set.set("sm" + std::to_string(s) + ".cycles",

@@ -13,6 +13,10 @@
  *   sm<N>.cycles                                    per-SM runtimes
  *   config.*                                        numeric run config
  *
+ * The per-struct names come from each stats struct's field list
+ * (Field::stat in common/fields.hh); the derived metrics are written
+ * out in toStatSet.
+ *
  * Names never contain '_' so the Prometheus exposition's '.' -> '_'
  * mapping stays bijective. Everything is enumerable, mergeable
  * (StatSet::merge / mergePrefixed) and exportable without bespoke
@@ -30,25 +34,6 @@
 #include "sim/smstats.hh"
 
 namespace wg::metrics {
-
-/** Add a domain's counters under `<prefix>.<counter>`. */
-void appendPgDomainStats(StatSet& set, const std::string& prefix,
-                         const PgDomainStats& stats);
-
-/** Add a cluster's gating counters and issue count. */
-void appendClusterStats(StatSet& set, const std::string& prefix,
-                        const ClusterStats& stats);
-
-/** Add an energy ledger under `<prefix>.<field>J` / ratios. */
-void appendUnitEnergy(StatSet& set, const std::string& prefix,
-                      const UnitEnergy& energy);
-
-/**
- * Add everything one SM run produced under `<prefix>.`:
- * cycles, issued.*, pg.*, sched.*, mem.*, adaptive.*.
- */
-void appendSmStats(StatSet& set, const std::string& prefix,
-                   const SmStats& stats);
 
 /**
  * Full registry of one simulation result: the aggregate SmStats under

@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "metrics/phase_timer.hh"
 
@@ -62,6 +63,36 @@ struct EpochCounters
 
     Cycle intIdleDetect = 0;          ///< gauge: post-epoch window
     Cycle fpIdleDetect = 0;           ///< gauge: post-epoch window
+
+    /** Sum fields are per-epoch deltas, Gauge fields end-of-epoch. */
+    static constexpr auto
+    fields()
+    {
+        using S = EpochCounters;
+        constexpr FieldRule kDelta = FieldRule::Sum;
+        constexpr FieldRule kGauge = FieldRule::Gauge;
+        return std::tuple{
+            field("issued", &S::issued, kDelta),
+            field("intBusyCycles", &S::intBusyCycles, kDelta),
+            field("intGatedCycles", &S::intGatedCycles, kDelta),
+            field("intCompCycles", &S::intCompCycles, kDelta),
+            field("intGatingEvents", &S::intGatingEvents, kDelta),
+            field("intWakeups", &S::intWakeups, kDelta),
+            field("intCriticalWakeups", &S::intCriticalWakeups, kDelta),
+            field("fpBusyCycles", &S::fpBusyCycles, kDelta),
+            field("fpGatedCycles", &S::fpGatedCycles, kDelta),
+            field("fpCompCycles", &S::fpCompCycles, kDelta),
+            field("fpGatingEvents", &S::fpGatingEvents, kDelta),
+            field("fpWakeups", &S::fpWakeups, kDelta),
+            field("fpCriticalWakeups", &S::fpCriticalWakeups, kDelta),
+            field("memMisses", &S::memMisses, kDelta),
+            field("mshrRejects", &S::mshrRejects, kDelta),
+            field("wakeupRequests", &S::wakeupRequests, kDelta),
+            field("activeAccum", &S::activeAccum, kDelta),
+            field("intIdleDetect", &S::intIdleDetect, kGauge),
+            field("fpIdleDetect", &S::fpIdleDetect, kGauge),
+        };
+    }
 };
 
 /** One epoch's deltas (gauges excepted) for one SM. */
@@ -73,6 +104,16 @@ struct EpochSample
                               ///< except a final partial epoch)
     EpochCounters delta;      ///< counter deltas; idle-detect fields
                               ///< are end-of-epoch gauges, not deltas
+
+    static constexpr auto
+    fields()
+    {
+        using S = EpochSample;
+        return std::tuple{field("epoch", &S::epoch),
+                          field("cycleEnd", &S::cycleEnd),
+                          field("cycles", &S::cycles),
+                          field("delta", &S::delta)};
+    }
 };
 
 /**
@@ -86,6 +127,16 @@ struct SamplerState
     Cycle lastCycle = 0;             ///< last closed boundary
     EpochCounters prev;              ///< cumulative baseline at lastCycle
     std::vector<EpochSample> samples; ///< closed epochs, oldest first
+
+    static constexpr auto
+    fields()
+    {
+        using S = SamplerState;
+        return std::tuple{field("epochLength", &S::epochLength),
+                          field("lastCycle", &S::lastCycle),
+                          field("prev", &S::prev),
+                          field("samples", &S::samples)};
+    }
 };
 
 /**
@@ -250,7 +301,7 @@ class EpochSampler
         s.epoch = static_cast<std::uint32_t>(samples_.size());
         s.cycleEnd = cycle_end;
         s.cycles = cycle_end - last_cycle_;
-        s.delta = diff(cum, prev_);
+        s.delta = deltaFields(cum, prev_);
         samples_.push_back(s);
         if (sink_ != nullptr)
             sink_->push(sm_, s);
@@ -297,34 +348,6 @@ class EpochSampler
     }
 
   private:
-    /** Counter deltas @p a - @p b; gauges are taken from @p a. */
-    static EpochCounters
-    diff(const EpochCounters& a, const EpochCounters& b)
-    {
-        EpochCounters d;
-        d.issued = a.issued - b.issued;
-        d.intBusyCycles = a.intBusyCycles - b.intBusyCycles;
-        d.intGatedCycles = a.intGatedCycles - b.intGatedCycles;
-        d.intCompCycles = a.intCompCycles - b.intCompCycles;
-        d.intGatingEvents = a.intGatingEvents - b.intGatingEvents;
-        d.intWakeups = a.intWakeups - b.intWakeups;
-        d.intCriticalWakeups =
-            a.intCriticalWakeups - b.intCriticalWakeups;
-        d.fpBusyCycles = a.fpBusyCycles - b.fpBusyCycles;
-        d.fpGatedCycles = a.fpGatedCycles - b.fpGatedCycles;
-        d.fpCompCycles = a.fpCompCycles - b.fpCompCycles;
-        d.fpGatingEvents = a.fpGatingEvents - b.fpGatingEvents;
-        d.fpWakeups = a.fpWakeups - b.fpWakeups;
-        d.fpCriticalWakeups = a.fpCriticalWakeups - b.fpCriticalWakeups;
-        d.memMisses = a.memMisses - b.memMisses;
-        d.mshrRejects = a.mshrRejects - b.mshrRejects;
-        d.wakeupRequests = a.wakeupRequests - b.wakeupRequests;
-        d.activeAccum = a.activeAccum - b.activeAccum;
-        d.intIdleDetect = a.intIdleDetect;
-        d.fpIdleDetect = a.fpIdleDetect;
-        return d;
-    }
-
     SmId sm_;
     Cycle epoch_length_;
     EpochStreamSink* sink_;

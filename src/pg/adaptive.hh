@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "pg/params.hh"
 
 namespace wg {
@@ -20,6 +21,16 @@ struct AdaptiveState {
     std::uint32_t goodEpochs = 0; ///< consecutive epochs under threshold
     std::uint64_t increments = 0; ///< increments applied (diagnostics)
     std::uint64_t decrements = 0; ///< decrements applied (diagnostics)
+
+    static constexpr auto
+    fields()
+    {
+        using S = AdaptiveState;
+        return std::tuple{field("value", &S::value),
+                          field("goodEpochs", &S::goodEpochs),
+                          field("increments", &S::increments),
+                          field("decrements", &S::decrements)};
+    }
 };
 
 /**

@@ -30,6 +30,16 @@ struct PgControllerState {
     PgDomainState sfuDomain;             ///< SFU gating domain
     std::array<AdaptiveState, 2> adaptive; ///< per-type regulators
     Cycle epochStart = 0;                ///< current epoch's first cycle
+
+    static constexpr auto
+    fields()
+    {
+        using S = PgControllerState;
+        return std::tuple{field("domains", &S::domains).byType(),
+                          field("sfuDomain", &S::sfuDomain),
+                          field("adaptive", &S::adaptive),
+                          field("epochStart", &S::epochStart)};
+    }
 };
 
 /**

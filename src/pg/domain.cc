@@ -16,6 +16,20 @@ pgPolicyName(PgPolicy policy)
     return "?";
 }
 
+bool
+parsePgPolicy(const std::string& name, PgPolicy& out)
+{
+    for (PgPolicy p : {PgPolicy::None, PgPolicy::Conventional,
+                       PgPolicy::NaiveBlackout,
+                       PgPolicy::CoordinatedBlackout}) {
+        if (name == pgPolicyName(p)) {
+            out = p;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char*
 pgStateName(PgState state)
 {

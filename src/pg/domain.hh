@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/histogram.hh"
 #include "common/types.hh"
 #include "pg/params.hh"
@@ -44,25 +45,24 @@ struct PgDomainStats
         return uncompCycles + compCycles;
     }
 
-    /**
-     * Sum another domain's counters into this one. Every aggregation
-     * path (ClusterStats::merge, SimResult::typeStats) delegates here,
-     * so a newly added counter only needs to be merged in one place.
-     */
-    void
-    merge(const PgDomainStats& other)
+    static constexpr auto
+    fields()
     {
-        busyCycles += other.busyCycles;
-        idleOnCycles += other.idleOnCycles;
-        uncompCycles += other.uncompCycles;
-        compCycles += other.compCycles;
-        wakeupCycles += other.wakeupCycles;
-        gatingEvents += other.gatingEvents;
-        wakeups += other.wakeups;
-        uncompWakeups += other.uncompWakeups;
-        criticalWakeups += other.criticalWakeups;
-        coordImmediateGates += other.coordImmediateGates;
-        coordGateVetoes += other.coordGateVetoes;
+        using S = PgDomainStats;
+        constexpr FieldRule kSum = FieldRule::Sum;
+        return std::tuple{
+            field("busyCycles", &S::busyCycles, kSum),
+            field("idleOnCycles", &S::idleOnCycles, kSum),
+            field("uncompCycles", &S::uncompCycles, kSum),
+            field("compCycles", &S::compCycles, kSum),
+            field("wakeupCycles", &S::wakeupCycles, kSum),
+            field("gatingEvents", &S::gatingEvents, kSum),
+            field("wakeups", &S::wakeups, kSum),
+            field("uncompWakeups", &S::uncompWakeups, kSum),
+            field("criticalWakeups", &S::criticalWakeups, kSum),
+            field("coordImmediateGates", &S::coordImmediateGates, kSum),
+            field("coordGateVetoes", &S::coordGateVetoes, kSum),
+        };
     }
 };
 
@@ -82,6 +82,24 @@ struct PgDomainState {
     std::uint32_t epochCritical = 0; ///< critical wakeups this epoch
     PgDomainStats stats;            ///< lifetime event/cycle counters
     Histogram idleHist;             ///< idle-period-length distribution
+
+    static constexpr auto
+    fields()
+    {
+        using S = PgDomainState;
+        return std::tuple{
+            field("state", &S::state),
+            field("idleCount", &S::idleCount),
+            field("betRemaining", &S::betRemaining),
+            field("wakeupRemaining", &S::wakeupRemaining),
+            field("compensatedAt", &S::compensatedAt),
+            field("wakeupRequested", &S::wakeupRequested),
+            field("idleRun", &S::idleRun),
+            field("epochCritical", &S::epochCritical),
+            field("stats", &S::stats),
+            field("idleHist", &S::idleHist),
+        };
+    }
 };
 
 /**

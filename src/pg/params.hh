@@ -25,6 +25,9 @@ enum class PgPolicy : std::uint8_t {
 /** Printable policy name. */
 const char* pgPolicyName(PgPolicy policy);
 
+/** Inverse of pgPolicyName(); false for an unknown name. */
+bool parsePgPolicy(const std::string& name, PgPolicy& out);
+
 /** Parameters of the gating controllers. Paper defaults in §7.1. */
 struct PgParams
 {

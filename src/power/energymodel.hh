@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "pg/domain.hh"
 #include "power/constants.hh"
 
@@ -48,15 +49,16 @@ struct UnitEnergy
         return (staticSaved - overheadE) / staticNoPg;
     }
 
-    /** Accumulate another ledger. */
-    void
-    add(const UnitEnergy& other)
+    static constexpr auto
+    fields()
     {
-        dynamicE += other.dynamicE;
-        staticE += other.staticE;
-        overheadE += other.overheadE;
-        staticSaved += other.staticSaved;
-        staticNoPg += other.staticNoPg;
+        using S = UnitEnergy;
+        constexpr FieldRule kSum = FieldRule::Sum;
+        return std::tuple{field("dynamicJ", &S::dynamicE, kSum),
+                          field("staticJ", &S::staticE, kSum),
+                          field("overheadJ", &S::overheadE, kSum),
+                          field("staticSavedJ", &S::staticSaved, kSum),
+                          field("staticNoPgJ", &S::staticNoPg, kSum)};
     }
 };
 

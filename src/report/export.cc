@@ -4,30 +4,13 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/jsonescape.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 
 namespace wg {
 
 namespace {
-
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
 
 void
 jsonHistogram(std::ostringstream& os, const Histogram& h)

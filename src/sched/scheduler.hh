@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "sched/bitmask.hh"
 #include "trace/recorder.hh"
@@ -88,6 +89,17 @@ struct SchedulerState {
     std::uint64_t switches = 0;   ///< GATES dynamic switch count
     std::uint32_t greedyWarp = ~std::uint32_t(0); ///< GTO greedy warp
     Cycle now = 0;                ///< GTO latched cycle
+
+    static constexpr auto
+    fields()
+    {
+        using S = SchedulerState;
+        return std::tuple{field("hiClass", &S::hiClass),
+                          field("lastSwitch", &S::lastSwitch),
+                          field("switches", &S::switches),
+                          field("greedyWarp", &S::greedyWarp),
+                          field("now", &S::now)};
+    }
 };
 
 /**

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "arch/program.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "sched/bitmask.hh"
 
@@ -55,6 +56,16 @@ struct WarpSlotState {
     std::uint32_t bufSize = 0;     ///< decoded entries buffered
     std::uint32_t outstanding = 0; ///< issued, not yet written back
     std::uint8_t loc = 0;          ///< WarpLoc residency state
+
+    static constexpr auto
+    fields()
+    {
+        using S = WarpSlotState;
+        return std::tuple{field("pc", &S::pc),
+                          field("bufSize", &S::bufSize),
+                          field("outstanding", &S::outstanding),
+                          field("loc", &S::loc)};
+    }
 };
 
 /**

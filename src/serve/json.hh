@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/jsonescape.hh"
+
 namespace wg::serve {
 
 /** Hard input limits; exceeding any of them is a parse error. */
@@ -117,7 +119,7 @@ class Json
     friend class JsonParser;
 };
 
-/** Escape @p s for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string& s);
+/** The shared escaper (common/jsonescape.hh), also reachable here. */
+using wg::jsonEscape;
 
 } // namespace wg::serve

@@ -8,787 +8,6 @@ using namespace detail;
 
 namespace {
 
-// ----- narrow-integer readers (range-checked on the way in) -----
-
-bool
-getU32(const Json& j, const std::string& path, const char* key,
-       std::uint32_t& out, std::string& error)
-{
-    std::uint64_t v = 0;
-    if (!getU64(j, path, key, v, error))
-        return false;
-    if (v > UINT32_MAX)
-        return failAt(error, path + "." + key, "out of range");
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-getU16(const Json& j, const std::string& path, const char* key,
-       std::uint16_t& out, std::string& error)
-{
-    std::uint64_t v = 0;
-    if (!getU64(j, path, key, v, error))
-        return false;
-    if (v > UINT16_MAX)
-        return failAt(error, path + "." + key, "out of range");
-    out = static_cast<std::uint16_t>(v);
-    return true;
-}
-
-bool
-getU8(const Json& j, const std::string& path, const char* key,
-      std::uint8_t& out, std::string& error)
-{
-    std::uint64_t v = 0;
-    if (!getU64(j, path, key, v, error))
-        return false;
-    if (v > UINT8_MAX)
-        return failAt(error, path + "." + key, "out of range");
-    out = static_cast<std::uint8_t>(v);
-    return true;
-}
-
-Json
-u32VectorToJson(const std::vector<std::uint32_t>& values)
-{
-    Json arr = Json::array();
-    for (std::uint32_t v : values)
-        arr.append(Json::number(static_cast<std::uint64_t>(v)));
-    return arr;
-}
-
-bool
-u32VectorFromJson(const Json& obj, const std::string& path,
-                  const char* key, std::vector<std::uint32_t>& out,
-                  std::string& error)
-{
-    const Json* arr = nullptr;
-    if (!getArray(obj, path, key, 0, arr, error))
-        return false;
-    out.clear();
-    out.reserve(arr->items().size());
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-        std::uint64_t v = 0;
-        if (!u64Item(*arr, path + "." + key, i, v, error))
-            return false;
-        if (v > UINT32_MAX)
-            return failAt(error,
-                          path + "." + key + "." + std::to_string(i),
-                          "out of range");
-        out.push_back(static_cast<std::uint32_t>(v));
-    }
-    return true;
-}
-
-Json
-cycleVectorToJson(const std::vector<Cycle>& values)
-{
-    Json arr = Json::array();
-    for (Cycle v : values)
-        arr.append(Json::number(v));
-    return arr;
-}
-
-bool
-cycleVectorFromJson(const Json& obj, const std::string& path,
-                    const char* key, std::vector<Cycle>& out,
-                    std::string& error)
-{
-    const Json* arr = nullptr;
-    if (!getArray(obj, path, key, 0, arr, error))
-        return false;
-    out.clear();
-    out.reserve(arr->items().size());
-    for (std::size_t i = 0; i < arr->items().size(); ++i) {
-        Cycle v = 0;
-        if (!u64Item(*arr, path + "." + key, i, v, error))
-            return false;
-        out.push_back(v);
-    }
-    return true;
-}
-
-bool
-parseSchedulerName(const std::string& name, SchedulerPolicy& out)
-{
-    for (SchedulerPolicy p : {SchedulerPolicy::TwoLevel,
-                              SchedulerPolicy::Gates,
-                              SchedulerPolicy::Gto}) {
-        if (name == schedulerPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePgPolicyName(const std::string& name, PgPolicy& out)
-{
-    for (PgPolicy p : {PgPolicy::None, PgPolicy::Conventional,
-                       PgPolicy::NaiveBlackout,
-                       PgPolicy::CoordinatedBlackout}) {
-        if (name == pgPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
-
-Json
-rngStateToJson(const RngState& s)
-{
-    Json j = Json::object();
-    j.set("state", Json::number(s.state));
-    j.set("inc", Json::number(s.inc));
-    return j;
-}
-
-bool
-rngStateFromJson(const Json& j, const std::string& path, RngState& out,
-                 std::string& error)
-{
-    return getU64(j, path, "state", out.state, error) &&
-           getU64(j, path, "inc", out.inc, error);
-}
-
-Json
-warpSlotStateToJson(const WarpSlotState& s)
-{
-    Json j = Json::object();
-    j.set("pc", Json::number(static_cast<std::uint64_t>(s.pc)));
-    j.set("bufSize",
-          Json::number(static_cast<std::uint64_t>(s.bufSize)));
-    j.set("outstanding",
-          Json::number(static_cast<std::uint64_t>(s.outstanding)));
-    j.set("loc", Json::number(static_cast<std::uint64_t>(s.loc)));
-    return j;
-}
-
-bool
-warpSlotStateFromJson(const Json& j, const std::string& path,
-                      WarpSlotState& out, std::string& error)
-{
-    return getU32(j, path, "pc", out.pc, error) &&
-           getU32(j, path, "bufSize", out.bufSize, error) &&
-           getU32(j, path, "outstanding", out.outstanding, error) &&
-           getU8(j, path, "loc", out.loc, error);
-}
-
-Json
-schedulerStateToJson(const SchedulerState& s)
-{
-    Json j = Json::object();
-    j.set("hiClass", Json::number(static_cast<std::uint64_t>(s.hiClass)));
-    j.set("lastSwitch", Json::number(s.lastSwitch));
-    j.set("switches", Json::number(s.switches));
-    j.set("greedyWarp",
-          Json::number(static_cast<std::uint64_t>(s.greedyWarp)));
-    j.set("now", Json::number(s.now));
-    return j;
-}
-
-bool
-schedulerStateFromJson(const Json& j, const std::string& path,
-                       SchedulerState& out, std::string& error)
-{
-    return getU8(j, path, "hiClass", out.hiClass, error) &&
-           getU64(j, path, "lastSwitch", out.lastSwitch, error) &&
-           getU64(j, path, "switches", out.switches, error) &&
-           getU32(j, path, "greedyWarp", out.greedyWarp, error) &&
-           getU64(j, path, "now", out.now, error);
-}
-
-Json
-completionToJson(const Completion& c)
-{
-    Json j = Json::object();
-    j.set("done", Json::number(c.done));
-    j.set("warp", Json::number(static_cast<std::uint64_t>(c.warp)));
-    j.set("dest", Json::number(static_cast<std::uint64_t>(c.dest)));
-    j.set("longLatency", Json::boolean(c.longLatency));
-    return j;
-}
-
-bool
-completionFromJson(const Json& j, const std::string& path,
-                   Completion& out, std::string& error)
-{
-    return getU64(j, path, "done", out.done, error) &&
-           getU32(j, path, "warp", out.warp, error) &&
-           getU16(j, path, "dest", out.dest, error) &&
-           getBool(j, path, "longLatency", out.longLatency, error);
-}
-
-Json
-execUnitStateToJson(const ExecUnitState& s)
-{
-    Json j = Json::object();
-    j.set("lastIssue", Json::number(s.lastIssue));
-    j.set("issues", Json::number(s.issues));
-    j.set("occupancy", cycleVectorToJson(s.occupancy));
-    Json completions = Json::array();
-    for (const Completion& c : s.completions)
-        completions.append(completionToJson(c));
-    j.set("completions", std::move(completions));
-    return j;
-}
-
-bool
-execUnitStateFromJson(const Json& j, const std::string& path,
-                      ExecUnitState& out, std::string& error)
-{
-    if (!getU64(j, path, "lastIssue", out.lastIssue, error) ||
-        !getU64(j, path, "issues", out.issues, error) ||
-        !cycleVectorFromJson(j, path, "occupancy", out.occupancy, error))
-        return false;
-    const Json* completions = nullptr;
-    if (!getArray(j, path, "completions", 0, completions, error))
-        return false;
-    out.completions.clear();
-    out.completions.reserve(completions->items().size());
-    for (std::size_t i = 0; i < completions->items().size(); ++i) {
-        const std::string ipath =
-            path + ".completions." + std::to_string(i);
-        Completion c{};
-        if (!completionFromJson(completions->items()[i], ipath, c,
-                                error))
-            return false;
-        out.completions.push_back(c);
-    }
-    return true;
-}
-
-Json
-memSystemStateToJson(const MemSystemState& s)
-{
-    Json j = Json::object();
-    j.set("rng", rngStateToJson(s.rng));
-    j.set("batchTime", Json::number(s.batchTime));
-    j.set("batchUsed",
-          Json::number(static_cast<std::uint64_t>(s.batchUsed)));
-    j.set("batchLatency", Json::number(s.batchLatency));
-    j.set("batchValid", Json::boolean(s.batchValid));
-    j.set("inflight", cycleVectorToJson(s.inflight));
-    j.set("hits", Json::number(s.hits));
-    j.set("misses", Json::number(s.misses));
-    j.set("stores", Json::number(s.stores));
-    j.set("mshrRejects", Json::number(s.mshrRejects));
-    return j;
-}
-
-bool
-memSystemStateFromJson(const Json& j, const std::string& path,
-                       MemSystemState& out, std::string& error)
-{
-    const Json* rng = nullptr;
-    return getMember(j, path, "rng", rng, error) &&
-           rngStateFromJson(*rng, path + ".rng", out.rng, error) &&
-           getU64(j, path, "batchTime", out.batchTime, error) &&
-           getU32(j, path, "batchUsed", out.batchUsed, error) &&
-           getU64(j, path, "batchLatency", out.batchLatency, error) &&
-           getBool(j, path, "batchValid", out.batchValid, error) &&
-           cycleVectorFromJson(j, path, "inflight", out.inflight,
-                               error) &&
-           getU64(j, path, "hits", out.hits, error) &&
-           getU64(j, path, "misses", out.misses, error) &&
-           getU64(j, path, "stores", out.stores, error) &&
-           getU64(j, path, "mshrRejects", out.mshrRejects, error);
-}
-
-Json
-pgDomainStateToJson(const PgDomainState& s)
-{
-    Json j = Json::object();
-    j.set("state", Json::number(static_cast<std::uint64_t>(s.state)));
-    j.set("idleCount", Json::number(s.idleCount));
-    j.set("betRemaining", Json::number(s.betRemaining));
-    j.set("wakeupRemaining", Json::number(s.wakeupRemaining));
-    j.set("compensatedAt", Json::number(s.compensatedAt));
-    j.set("wakeupRequested", Json::boolean(s.wakeupRequested));
-    j.set("idleRun", Json::number(s.idleRun));
-    j.set("epochCritical",
-          Json::number(static_cast<std::uint64_t>(s.epochCritical)));
-    j.set("stats", pgStatsToJson(s.stats));
-    j.set("idleHist", histogramToJson(s.idleHist));
-    return j;
-}
-
-bool
-pgDomainStateFromJson(const Json& j, const std::string& path,
-                      PgDomainState& out, std::string& error)
-{
-    const Json* stats = nullptr;
-    const Json* hist = nullptr;
-    return getU8(j, path, "state", out.state, error) &&
-           getU64(j, path, "idleCount", out.idleCount, error) &&
-           getU64(j, path, "betRemaining", out.betRemaining, error) &&
-           getU64(j, path, "wakeupRemaining", out.wakeupRemaining,
-                  error) &&
-           getU64(j, path, "compensatedAt", out.compensatedAt, error) &&
-           getBool(j, path, "wakeupRequested", out.wakeupRequested,
-                   error) &&
-           getU64(j, path, "idleRun", out.idleRun, error) &&
-           getU32(j, path, "epochCritical", out.epochCritical, error) &&
-           getMember(j, path, "stats", stats, error) &&
-           pgStatsFromJson(*stats, path + ".stats", out.stats, error) &&
-           getMember(j, path, "idleHist", hist, error) &&
-           histogramFromJson(*hist, path + ".idleHist", out.idleHist,
-                             error);
-}
-
-Json
-adaptiveStateToJson(const AdaptiveState& s)
-{
-    Json j = Json::object();
-    j.set("value", Json::number(s.value));
-    j.set("goodEpochs",
-          Json::number(static_cast<std::uint64_t>(s.goodEpochs)));
-    j.set("increments", Json::number(s.increments));
-    j.set("decrements", Json::number(s.decrements));
-    return j;
-}
-
-bool
-adaptiveStateFromJson(const Json& j, const std::string& path,
-                      AdaptiveState& out, std::string& error)
-{
-    return getU64(j, path, "value", out.value, error) &&
-           getU32(j, path, "goodEpochs", out.goodEpochs, error) &&
-           getU64(j, path, "increments", out.increments, error) &&
-           getU64(j, path, "decrements", out.decrements, error);
-}
-
-Json
-pgControllerStateToJson(const PgControllerState& s)
-{
-    Json j = Json::object();
-    Json domains = Json::object();
-    const char* kTypeNames[2] = {"int", "fp"};
-    for (std::size_t type = 0; type < 2; ++type) {
-        Json pair = Json::array();
-        for (std::size_t c = 0; c < kClustersPerType; ++c)
-            pair.append(pgDomainStateToJson(s.domains[type][c]));
-        domains.set(kTypeNames[type], std::move(pair));
-    }
-    j.set("domains", std::move(domains));
-    j.set("sfuDomain", pgDomainStateToJson(s.sfuDomain));
-    Json adaptive = Json::array();
-    for (std::size_t type = 0; type < 2; ++type)
-        adaptive.append(adaptiveStateToJson(s.adaptive[type]));
-    j.set("adaptive", std::move(adaptive));
-    j.set("epochStart", Json::number(s.epochStart));
-    return j;
-}
-
-bool
-pgControllerStateFromJson(const Json& j, const std::string& path,
-                          PgControllerState& out, std::string& error)
-{
-    const Json* domains = nullptr;
-    if (!getMember(j, path, "domains", domains, error))
-        return false;
-    const char* kTypeNames[2] = {"int", "fp"};
-    for (std::size_t type = 0; type < 2; ++type) {
-        const Json* pair = nullptr;
-        const std::string dpath = path + ".domains";
-        if (!getArray(*domains, dpath, kTypeNames[type],
-                      kClustersPerType, pair, error))
-            return false;
-        for (std::size_t c = 0; c < kClustersPerType; ++c) {
-            const std::string ipath = dpath + "." + kTypeNames[type] +
-                                      "." + std::to_string(c);
-            if (!pair->items()[c].isObject())
-                return failAt(error, ipath, "expected an object");
-            if (!pgDomainStateFromJson(pair->items()[c], ipath,
-                                       out.domains[type][c], error))
-                return false;
-        }
-    }
-    const Json* sfu = nullptr;
-    if (!getMember(j, path, "sfuDomain", sfu, error) ||
-        !pgDomainStateFromJson(*sfu, path + ".sfuDomain", out.sfuDomain,
-                               error))
-        return false;
-    const Json* adaptive = nullptr;
-    if (!getArray(j, path, "adaptive", 2, adaptive, error))
-        return false;
-    for (std::size_t type = 0; type < 2; ++type) {
-        const std::string apath =
-            path + ".adaptive." + std::to_string(type);
-        if (!adaptive->items()[type].isObject())
-            return failAt(error, apath, "expected an object");
-        if (!adaptiveStateFromJson(adaptive->items()[type], apath,
-                                   out.adaptive[type], error))
-            return false;
-    }
-    return getU64(j, path, "epochStart", out.epochStart, error);
-}
-
-Json
-epochCountersToJson(const metrics::EpochCounters& c)
-{
-    Json j = Json::object();
-    j.set("issued", Json::number(c.issued));
-    j.set("intBusyCycles", Json::number(c.intBusyCycles));
-    j.set("intGatedCycles", Json::number(c.intGatedCycles));
-    j.set("intCompCycles", Json::number(c.intCompCycles));
-    j.set("intGatingEvents", Json::number(c.intGatingEvents));
-    j.set("intWakeups", Json::number(c.intWakeups));
-    j.set("intCriticalWakeups", Json::number(c.intCriticalWakeups));
-    j.set("fpBusyCycles", Json::number(c.fpBusyCycles));
-    j.set("fpGatedCycles", Json::number(c.fpGatedCycles));
-    j.set("fpCompCycles", Json::number(c.fpCompCycles));
-    j.set("fpGatingEvents", Json::number(c.fpGatingEvents));
-    j.set("fpWakeups", Json::number(c.fpWakeups));
-    j.set("fpCriticalWakeups", Json::number(c.fpCriticalWakeups));
-    j.set("memMisses", Json::number(c.memMisses));
-    j.set("mshrRejects", Json::number(c.mshrRejects));
-    j.set("wakeupRequests", Json::number(c.wakeupRequests));
-    j.set("activeAccum", Json::number(c.activeAccum));
-    j.set("intIdleDetect", Json::number(c.intIdleDetect));
-    j.set("fpIdleDetect", Json::number(c.fpIdleDetect));
-    return j;
-}
-
-bool
-epochCountersFromJson(const Json& j, const std::string& path,
-                      metrics::EpochCounters& out, std::string& error)
-{
-    return getU64(j, path, "issued", out.issued, error) &&
-           getU64(j, path, "intBusyCycles", out.intBusyCycles, error) &&
-           getU64(j, path, "intGatedCycles", out.intGatedCycles,
-                  error) &&
-           getU64(j, path, "intCompCycles", out.intCompCycles, error) &&
-           getU64(j, path, "intGatingEvents", out.intGatingEvents,
-                  error) &&
-           getU64(j, path, "intWakeups", out.intWakeups, error) &&
-           getU64(j, path, "intCriticalWakeups", out.intCriticalWakeups,
-                  error) &&
-           getU64(j, path, "fpBusyCycles", out.fpBusyCycles, error) &&
-           getU64(j, path, "fpGatedCycles", out.fpGatedCycles, error) &&
-           getU64(j, path, "fpCompCycles", out.fpCompCycles, error) &&
-           getU64(j, path, "fpGatingEvents", out.fpGatingEvents,
-                  error) &&
-           getU64(j, path, "fpWakeups", out.fpWakeups, error) &&
-           getU64(j, path, "fpCriticalWakeups", out.fpCriticalWakeups,
-                  error) &&
-           getU64(j, path, "memMisses", out.memMisses, error) &&
-           getU64(j, path, "mshrRejects", out.mshrRejects, error) &&
-           getU64(j, path, "wakeupRequests", out.wakeupRequests,
-                  error) &&
-           getU64(j, path, "activeAccum", out.activeAccum, error) &&
-           getU64(j, path, "intIdleDetect", out.intIdleDetect, error) &&
-           getU64(j, path, "fpIdleDetect", out.fpIdleDetect, error);
-}
-
-Json
-epochSampleToJson(const metrics::EpochSample& s)
-{
-    Json j = Json::object();
-    j.set("epoch", Json::number(static_cast<std::uint64_t>(s.epoch)));
-    j.set("cycleEnd", Json::number(s.cycleEnd));
-    j.set("cycles", Json::number(s.cycles));
-    j.set("delta", epochCountersToJson(s.delta));
-    return j;
-}
-
-bool
-epochSampleFromJson(const Json& j, const std::string& path,
-                    metrics::EpochSample& out, std::string& error)
-{
-    const Json* delta = nullptr;
-    return getU32(j, path, "epoch", out.epoch, error) &&
-           getU64(j, path, "cycleEnd", out.cycleEnd, error) &&
-           getU64(j, path, "cycles", out.cycles, error) &&
-           getMember(j, path, "delta", delta, error) &&
-           epochCountersFromJson(*delta, path + ".delta", out.delta,
-                                 error);
-}
-
-Json
-samplerStateToJson(const metrics::SamplerState& s)
-{
-    Json j = Json::object();
-    j.set("epochLength", Json::number(s.epochLength));
-    j.set("lastCycle", Json::number(s.lastCycle));
-    j.set("prev", epochCountersToJson(s.prev));
-    Json samples = Json::array();
-    for (const metrics::EpochSample& e : s.samples)
-        samples.append(epochSampleToJson(e));
-    j.set("samples", std::move(samples));
-    return j;
-}
-
-bool
-samplerStateFromJson(const Json& j, const std::string& path,
-                     metrics::SamplerState& out, std::string& error)
-{
-    const Json* prev = nullptr;
-    if (!getU64(j, path, "epochLength", out.epochLength, error) ||
-        !getU64(j, path, "lastCycle", out.lastCycle, error) ||
-        !getMember(j, path, "prev", prev, error) ||
-        !epochCountersFromJson(*prev, path + ".prev", out.prev, error))
-        return false;
-    const Json* samples = nullptr;
-    if (!getArray(j, path, "samples", 0, samples, error))
-        return false;
-    out.samples.clear();
-    out.samples.reserve(samples->items().size());
-    for (std::size_t i = 0; i < samples->items().size(); ++i) {
-        const std::string ipath =
-            path + ".samples." + std::to_string(i);
-        metrics::EpochSample s;
-        if (!epochSampleFromJson(samples->items()[i], ipath, s, error))
-            return false;
-        out.samples.push_back(s);
-    }
-    return true;
-}
-
-Json
-traceEventToJson(const trace::Event& e)
-{
-    Json j = Json::object();
-    j.set("cycle", Json::number(e.cycle));
-    j.set("kind", Json::number(
-                      static_cast<std::uint64_t>(
-                          static_cast<std::uint8_t>(e.kind))));
-    j.set("unit", Json::number(static_cast<std::uint64_t>(e.unit)));
-    j.set("cluster",
-          Json::number(static_cast<std::uint64_t>(e.cluster)));
-    j.set("arg", Json::number(static_cast<std::uint64_t>(e.arg)));
-    j.set("value", Json::number(static_cast<std::uint64_t>(e.value)));
-    return j;
-}
-
-bool
-traceEventFromJson(const Json& j, const std::string& path,
-                   trace::Event& out, std::string& error)
-{
-    std::uint8_t kind = 0;
-    if (!getU64(j, path, "cycle", out.cycle, error) ||
-        !getU8(j, path, "kind", kind, error))
-        return false;
-    if (kind >= trace::kNumEventKinds)
-        return failAt(error, path + ".kind", "unknown event kind");
-    out.kind = static_cast<trace::EventKind>(kind);
-    return getU8(j, path, "unit", out.unit, error) &&
-           getU8(j, path, "cluster", out.cluster, error) &&
-           getU8(j, path, "arg", out.arg, error) &&
-           getU32(j, path, "value", out.value, error);
-}
-
-Json
-smSnapshotToJson(const SmSnapshot& s)
-{
-    Json j = Json::object();
-    j.set("now", Json::number(s.now));
-    j.set("done", Json::boolean(s.done));
-    j.set("finishedStats", Json::boolean(s.finishedStats));
-    j.set("liveWarps", Json::number(s.liveWarps));
-    j.set("ldstIdleRun", Json::number(s.ldstIdleRun));
-    Json rr = Json::array();
-    for (std::uint32_t v : s.rrCluster)
-        rr.append(Json::number(static_cast<std::uint64_t>(v)));
-    j.set("rrCluster", std::move(rr));
-    j.set("active", u32VectorToJson(s.active));
-    j.set("waiting", u32VectorToJson(s.waiting));
-    j.set("pending", u32VectorToJson(s.pending));
-    Json warps = Json::array();
-    for (const WarpSlotState& w : s.warps)
-        warps.append(warpSlotStateToJson(w));
-    j.set("warps", std::move(warps));
-    j.set("scoreboard", u32VectorToJson(s.scoreboard));
-    j.set("scoreboardLong", u32VectorToJson(s.scoreboardLong));
-    j.set("scheduler", schedulerStateToJson(s.scheduler));
-    Json int_units = Json::array();
-    Json fp_units = Json::array();
-    for (std::size_t c = 0; c < 2; ++c) {
-        int_units.append(execUnitStateToJson(s.intUnits[c]));
-        fp_units.append(execUnitStateToJson(s.fpUnits[c]));
-    }
-    j.set("intUnits", std::move(int_units));
-    j.set("fpUnits", std::move(fp_units));
-    j.set("sfu", execUnitStateToJson(s.sfu));
-    j.set("ldst", execUnitStateToJson(s.ldst));
-    j.set("mem", memSystemStateToJson(s.mem));
-    j.set("pg", pgControllerStateToJson(s.pg));
-    j.set("stats", smStatsToJson(s.stats));
-    j.set("hasTrace", Json::boolean(s.hasTrace));
-    if (s.hasTrace) {
-        Json events = Json::array();
-        for (const trace::Event& e : s.traceEvents)
-            events.append(traceEventToJson(e));
-        j.set("traceEvents", std::move(events));
-        j.set("traceOverwritten", Json::number(s.traceOverwritten));
-    }
-    j.set("hasSampler", Json::boolean(s.hasSampler));
-    if (s.hasSampler)
-        j.set("sampler", samplerStateToJson(s.sampler));
-    return j;
-}
-
-bool
-smSnapshotFromJson(const Json& j, const std::string& path,
-                   SmSnapshot& out, std::string& error)
-{
-    if (!getU64(j, path, "now", out.now, error) ||
-        !getBool(j, path, "done", out.done, error) ||
-        !getBool(j, path, "finishedStats", out.finishedStats, error) ||
-        !getU64(j, path, "liveWarps", out.liveWarps, error) ||
-        !getU64(j, path, "ldstIdleRun", out.ldstIdleRun, error))
-        return false;
-    const Json* rr = nullptr;
-    if (!getArray(j, path, "rrCluster", 2, rr, error))
-        return false;
-    for (std::size_t i = 0; i < 2; ++i) {
-        std::uint64_t v = 0;
-        if (!u64Item(*rr, path + ".rrCluster", i, v, error))
-            return false;
-        if (v > UINT32_MAX)
-            return failAt(error,
-                          path + ".rrCluster." + std::to_string(i),
-                          "out of range");
-        out.rrCluster[i] = static_cast<std::uint32_t>(v);
-    }
-    if (!u32VectorFromJson(j, path, "active", out.active, error) ||
-        !u32VectorFromJson(j, path, "waiting", out.waiting, error) ||
-        !u32VectorFromJson(j, path, "pending", out.pending, error))
-        return false;
-    const Json* warps = nullptr;
-    if (!getArray(j, path, "warps", 0, warps, error))
-        return false;
-    out.warps.clear();
-    out.warps.reserve(warps->items().size());
-    for (std::size_t i = 0; i < warps->items().size(); ++i) {
-        const std::string ipath = path + ".warps." + std::to_string(i);
-        WarpSlotState w;
-        if (!warpSlotStateFromJson(warps->items()[i], ipath, w, error))
-            return false;
-        out.warps.push_back(w);
-    }
-    const Json* scheduler = nullptr;
-    if (!u32VectorFromJson(j, path, "scoreboard", out.scoreboard,
-                           error) ||
-        !u32VectorFromJson(j, path, "scoreboardLong",
-                           out.scoreboardLong, error) ||
-        !getMember(j, path, "scheduler", scheduler, error) ||
-        !schedulerStateFromJson(*scheduler, path + ".scheduler",
-                                out.scheduler, error))
-        return false;
-    const Json* int_units = nullptr;
-    const Json* fp_units = nullptr;
-    if (!getArray(j, path, "intUnits", 2, int_units, error) ||
-        !getArray(j, path, "fpUnits", 2, fp_units, error))
-        return false;
-    for (std::size_t c = 0; c < 2; ++c) {
-        const std::string ipath =
-            path + ".intUnits." + std::to_string(c);
-        const std::string fpath =
-            path + ".fpUnits." + std::to_string(c);
-        if (!int_units->items()[c].isObject())
-            return failAt(error, ipath, "expected an object");
-        if (!fp_units->items()[c].isObject())
-            return failAt(error, fpath, "expected an object");
-        if (!execUnitStateFromJson(int_units->items()[c], ipath,
-                                   out.intUnits[c], error) ||
-            !execUnitStateFromJson(fp_units->items()[c], fpath,
-                                   out.fpUnits[c], error))
-            return false;
-    }
-    const Json* sfu = nullptr;
-    const Json* ldst = nullptr;
-    const Json* mem = nullptr;
-    const Json* pg = nullptr;
-    const Json* stats = nullptr;
-    if (!getMember(j, path, "sfu", sfu, error) ||
-        !execUnitStateFromJson(*sfu, path + ".sfu", out.sfu, error) ||
-        !getMember(j, path, "ldst", ldst, error) ||
-        !execUnitStateFromJson(*ldst, path + ".ldst", out.ldst,
-                               error) ||
-        !getMember(j, path, "mem", mem, error) ||
-        !memSystemStateFromJson(*mem, path + ".mem", out.mem, error) ||
-        !getMember(j, path, "pg", pg, error) ||
-        !pgControllerStateFromJson(*pg, path + ".pg", out.pg, error) ||
-        !getMember(j, path, "stats", stats, error) ||
-        !smStatsFromJson(*stats, path + ".stats", out.stats, error))
-        return false;
-    if (!getBool(j, path, "hasTrace", out.hasTrace, error))
-        return false;
-    out.traceEvents.clear();
-    out.traceOverwritten = 0;
-    if (out.hasTrace) {
-        const Json* events = nullptr;
-        if (!getArray(j, path, "traceEvents", 0, events, error) ||
-            !getU64(j, path, "traceOverwritten", out.traceOverwritten,
-                    error))
-            return false;
-        out.traceEvents.reserve(events->items().size());
-        for (std::size_t i = 0; i < events->items().size(); ++i) {
-            const std::string ipath =
-                path + ".traceEvents." + std::to_string(i);
-            trace::Event e;
-            if (!traceEventFromJson(events->items()[i], ipath, e,
-                                    error))
-                return false;
-            out.traceEvents.push_back(e);
-        }
-    }
-    if (!getBool(j, path, "hasSampler", out.hasSampler, error))
-        return false;
-    out.sampler = metrics::SamplerState{};
-    if (out.hasSampler) {
-        const Json* sampler = nullptr;
-        if (!getMember(j, path, "sampler", sampler, error) ||
-            !samplerStateFromJson(*sampler, path + ".sampler",
-                                  out.sampler, error))
-            return false;
-    }
-    return true;
-}
-
-Json
-gpuSnapshotToJson(const GpuSnapshot& s)
-{
-    Json j = Json::object();
-    j.set("cycle", Json::number(s.cycle));
-    Json sms = Json::array();
-    for (const SmSnapshot& sm : s.sms)
-        sms.append(smSnapshotToJson(sm));
-    j.set("sms", std::move(sms));
-    return j;
-}
-
-bool
-gpuSnapshotFromJson(const Json& j, const std::string& path,
-                    GpuSnapshot& out, std::string& error)
-{
-    if (!getU64(j, path, "cycle", out.cycle, error))
-        return false;
-    const Json* sms = nullptr;
-    if (!getArray(j, path, "sms", 0, sms, error))
-        return false;
-    if (sms->items().empty())
-        return failAt(error, path + ".sms", "must not be empty");
-    out.sms.clear();
-    out.sms.reserve(sms->items().size());
-    for (std::size_t i = 0; i < sms->items().size(); ++i) {
-        const std::string ipath = path + ".sms." + std::to_string(i);
-        if (!sms->items()[i].isObject())
-            return failAt(error, ipath, "expected an object");
-        SmSnapshot sm;
-        if (!smSnapshotFromJson(sms->items()[i], ipath, sm, error))
-            return false;
-        out.sms.push_back(std::move(sm));
-    }
-    return true;
-}
-
 Json
 snapshotIdentityToJson(const SnapshotIdentity& id)
 {
@@ -824,13 +43,33 @@ snapshotIdentityFromJson(const Json& j, const std::string& path,
     if (!getMember(j, path, "overrides", overrides, error))
         return false;
     const std::string opath = path + ".overrides";
+    const JsonPath at(opath);
     return getString(*overrides, opath, "scheduler",
                      out.schedulerOverride, error) &&
            getString(*overrides, opath, "pg", out.pgOverride, error) &&
-           getBool(*overrides, opath, "adaptive", out.adaptiveOverride,
-                   error) &&
-           getBool(*overrides, opath, "gateSfu", out.gateSfuOverride,
-                   error);
+           decodeMember(*overrides, at, "adaptive", out.adaptiveOverride,
+                        error) &&
+           decodeMember(*overrides, at, "gateSfu", out.gateSfuOverride,
+                        error);
+}
+
+} // namespace
+
+Json
+gpuSnapshotToJson(const GpuSnapshot& s)
+{
+    return encode(s);
+}
+
+bool
+gpuSnapshotFromJson(const Json& j, const std::string& path,
+                    GpuSnapshot& out, std::string& error)
+{
+    if (!decode(j, path, out, error))
+        return false;
+    if (out.sms.empty())
+        return failAt(error, path + ".sms", "must not be empty");
+    return true;
 }
 
 bool
@@ -839,13 +78,13 @@ snapshotConfig(const SnapshotIdentity& id, GpuConfig& out,
 {
     out = makeConfig(id.technique, id.options);
     if (!id.schedulerOverride.empty() &&
-        !parseSchedulerName(id.schedulerOverride, out.sm.scheduler)) {
+        !parseSchedulerPolicy(id.schedulerOverride, out.sm.scheduler)) {
         error = "unknown scheduler override '" + id.schedulerOverride +
                 "'";
         return false;
     }
     if (!id.pgOverride.empty() &&
-        !parsePgPolicyName(id.pgOverride, out.sm.pg.policy)) {
+        !parsePgPolicy(id.pgOverride, out.sm.pg.policy)) {
         error = "unknown pg override '" + id.pgOverride + "'";
         return false;
     }

@@ -23,10 +23,10 @@
  * byte-identically), and parsing that never aborts — malformed or
  * version-mismatched documents come back as error strings.
  *
- * Every snapshotted struct has a (toJson, fromJson) free-function pair
- * below; the wglint D5 rule cross-checks that each struct field
- * reaches its codec functions, so adding a field without serializing
- * it fails the lint gate.
+ * Every snapshotted struct declares one field list (common/fields.hh)
+ * and the codec is derived from it, so a member cannot be added
+ * without reaching the wire: a member missing from its list fails the
+ * build.
  */
 
 #pragma once
@@ -100,76 +100,14 @@ bool parseJobSnapshotDoc(const Json& doc, std::string& id,
                          SweepSpec& spec, std::vector<ResultCell>& cells,
                          std::string& error);
 
-// ----- per-struct codecs (indexed by the wglint D5 rule) -----
+// ----- the GpuSnapshot body -----
 //
-// Each fromJson mirrors its toJson; @p path prefixes error messages
-// with the dotted location of the offending member.
-
-Json rngStateToJson(const RngState& s);
-bool rngStateFromJson(const Json& j, const std::string& path,
-                      RngState& out, std::string& error);
-
-Json warpSlotStateToJson(const WarpSlotState& s);
-bool warpSlotStateFromJson(const Json& j, const std::string& path,
-                           WarpSlotState& out, std::string& error);
-
-Json schedulerStateToJson(const SchedulerState& s);
-bool schedulerStateFromJson(const Json& j, const std::string& path,
-                            SchedulerState& out, std::string& error);
-
-Json completionToJson(const Completion& c);
-bool completionFromJson(const Json& j, const std::string& path,
-                        Completion& out, std::string& error);
-
-Json execUnitStateToJson(const ExecUnitState& s);
-bool execUnitStateFromJson(const Json& j, const std::string& path,
-                           ExecUnitState& out, std::string& error);
-
-Json memSystemStateToJson(const MemSystemState& s);
-bool memSystemStateFromJson(const Json& j, const std::string& path,
-                            MemSystemState& out, std::string& error);
-
-Json pgDomainStateToJson(const PgDomainState& s);
-bool pgDomainStateFromJson(const Json& j, const std::string& path,
-                           PgDomainState& out, std::string& error);
-
-Json adaptiveStateToJson(const AdaptiveState& s);
-bool adaptiveStateFromJson(const Json& j, const std::string& path,
-                           AdaptiveState& out, std::string& error);
-
-Json pgControllerStateToJson(const PgControllerState& s);
-bool pgControllerStateFromJson(const Json& j, const std::string& path,
-                               PgControllerState& out,
-                               std::string& error);
-
-Json epochCountersToJson(const metrics::EpochCounters& c);
-bool epochCountersFromJson(const Json& j, const std::string& path,
-                           metrics::EpochCounters& out,
-                           std::string& error);
-
-Json epochSampleToJson(const metrics::EpochSample& s);
-bool epochSampleFromJson(const Json& j, const std::string& path,
-                         metrics::EpochSample& out, std::string& error);
-
-Json samplerStateToJson(const metrics::SamplerState& s);
-bool samplerStateFromJson(const Json& j, const std::string& path,
-                          metrics::SamplerState& out,
-                          std::string& error);
-
-Json traceEventToJson(const trace::Event& e);
-bool traceEventFromJson(const Json& j, const std::string& path,
-                        trace::Event& out, std::string& error);
-
-Json smSnapshotToJson(const SmSnapshot& s);
-bool smSnapshotFromJson(const Json& j, const std::string& path,
-                        SmSnapshot& out, std::string& error);
+// Encoded from the field lists (common/fields.hh) by the codec in
+// serve/wire_detail.hh; @p path prefixes error messages with the
+// dotted location of the offending member.
 
 Json gpuSnapshotToJson(const GpuSnapshot& s);
 bool gpuSnapshotFromJson(const Json& j, const std::string& path,
                          GpuSnapshot& out, std::string& error);
-
-Json snapshotIdentityToJson(const SnapshotIdentity& id);
-bool snapshotIdentityFromJson(const Json& j, const std::string& path,
-                              SnapshotIdentity& out, std::string& error);
 
 } // namespace wg::serve::wire

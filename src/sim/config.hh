@@ -28,6 +28,9 @@ enum class SchedulerPolicy : std::uint8_t {
 /** Printable scheduler name. */
 const char* schedulerPolicyName(SchedulerPolicy policy);
 
+/** Inverse of schedulerPolicyName(); false for an unknown name. */
+bool parseSchedulerPolicy(const std::string& name, SchedulerPolicy& out);
+
 /** Per-SM microarchitecture configuration. */
 struct SmConfig
 {

@@ -32,7 +32,7 @@ SimResult::typeStats(UnitClass uc) const
 {
     unsigned t = uc == UnitClass::Int ? 0 : 1;
     PgDomainStats out = aggregate.clusters[t][0].pg;
-    out.merge(aggregate.clusters[t][1].pg);
+    mergeFields(out, aggregate.clusters[t][1].pg);
     return out;
 }
 
@@ -96,41 +96,6 @@ SimResult::ipc() const
 }
 
 void
-mergeSmStats(SmStats& into, const SmStats& sm)
-{
-    into.cycles += sm.cycles;
-    into.completed = into.completed && sm.completed;
-    for (std::size_t c = 0; c < kNumUnitClasses; ++c)
-        into.issuedByClass[c] += sm.issuedByClass[c];
-    into.issuedTotal += sm.issuedTotal;
-    for (unsigned t = 0; t < 2; ++t)
-        for (unsigned c = 0; c < 2; ++c)
-            into.clusters[t][c].merge(sm.clusters[t][c]);
-    into.sfuCluster.merge(sm.sfuCluster);
-    into.sfuIssues += sm.sfuIssues;
-    into.ldstIssues += sm.ldstIssues;
-    into.sfuBusyCycles += sm.sfuBusyCycles;
-    into.ldstBusyCycles += sm.ldstBusyCycles;
-    into.activeSizeAccum += sm.activeSizeAccum;
-    if (sm.activeSizeMax > into.activeSizeMax)
-        into.activeSizeMax = sm.activeSizeMax;
-    into.prioritySwitches += sm.prioritySwitches;
-    into.wakeupRequests += sm.wakeupRequests;
-    into.memHits += sm.memHits;
-    into.memMisses += sm.memMisses;
-    into.memStores += sm.memStores;
-    into.mshrRejects += sm.mshrRejects;
-    for (unsigned t = 0; t < 2; ++t) {
-        // Report the max final idle-detect across SMs (they adapt
-        // independently; the values are typically identical).
-        if (sm.finalIdleDetect[t] > into.finalIdleDetect[t])
-            into.finalIdleDetect[t] = sm.finalIdleDetect[t];
-        into.adaptIncrements[t] += sm.adaptIncrements[t];
-        into.adaptDecrements[t] += sm.adaptDecrements[t];
-    }
-}
-
-void
 computeEnergy(SimResult& result)
 {
     EnergyModel model(result.config.power);
@@ -141,11 +106,11 @@ computeEnergy(SimResult& result)
     result.fpEnergy = UnitEnergy{};
     for (unsigned c = 0; c < 2; ++c) {
         const ClusterStats& ic = result.aggregate.clusters[0][c];
-        result.intEnergy.add(
-            model.cluster(UnitClass::Int, ic.pg, ic.issues, cycles, bet));
+        mergeFields(result.intEnergy, model.cluster(UnitClass::Int, ic.pg,
+                                                    ic.issues, cycles, bet));
         const ClusterStats& fc = result.aggregate.clusters[1][c];
-        result.fpEnergy.add(
-            model.cluster(UnitClass::Fp, fc.pg, fc.issues, cycles, bet));
+        mergeFields(result.fpEnergy, model.cluster(UnitClass::Fp, fc.pg,
+                                                   fc.issues, cycles, bet));
     }
     if (result.config.sm.pg.gateSfu) {
         result.sfuEnergy =

@@ -88,12 +88,6 @@ struct SimResult
     double ipc() const;
 };
 
-/**
- * Merge one SM's stats into @p into (counters summed; histograms
- * merged; max-tracking fields maxed).
- */
-void mergeSmStats(SmStats& into, const SmStats& sm);
-
 /** Compute the energy ledgers of @p result from its aggregate stats. */
 void computeEnergy(SimResult& result);
 

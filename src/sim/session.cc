@@ -194,7 +194,7 @@ SimSession::aggregate(std::vector<SmStats> stats)
         if (s.cycles > result.cycles)
             result.cycles = s.cycles;
         result.totalSmCycles += s.cycles;
-        mergeSmStats(result.aggregate, s);
+        mergeFields(result.aggregate, s);
     }
 
     // Per-type idle histograms: both clusters of both types, all SMs.

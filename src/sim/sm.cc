@@ -20,6 +20,20 @@ schedulerPolicyName(SchedulerPolicy policy)
     return "?";
 }
 
+bool
+parseSchedulerPolicy(const std::string& name, SchedulerPolicy& out)
+{
+    for (SchedulerPolicy p : {SchedulerPolicy::TwoLevel,
+                              SchedulerPolicy::Gates,
+                              SchedulerPolicy::Gto}) {
+        if (name == schedulerPolicyName(p)) {
+            out = p;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace {
 
 // The trace sinks print WarpMigrate args via a location-name table;
@@ -345,34 +359,25 @@ Sm::sampleCounters() const
 {
     metrics::EpochCounters c;
     c.issued = stats_.issuedTotal;
-    for (unsigned t = 0; t < 2; ++t) {
-        UnitClass uc = t == 0 ? UnitClass::Int : UnitClass::Fp;
-        std::uint64_t busy = 0, gated = 0, comp = 0, events = 0;
-        std::uint64_t wakeups = 0, critical = 0;
-        for (unsigned k = 0; k < kClustersPerType; ++k) {
-            const PgDomainStats& d = pg_.domain(uc, k).stats();
-            busy += d.busyCycles;
-            gated += d.uncompCycles + d.compCycles;
-            comp += d.compCycles;
-            events += d.gatingEvents;
-            wakeups += d.wakeups;
-            critical += d.criticalWakeups;
-        }
-        if (t == 0) {
-            c.intBusyCycles = busy;
-            c.intGatedCycles = gated;
-            c.intCompCycles = comp;
-            c.intGatingEvents = events;
-            c.intWakeups = wakeups;
-            c.intCriticalWakeups = critical;
+    for (UnitClass uc : {UnitClass::Int, UnitClass::Fp}) {
+        PgDomainStats d = pg_.domain(uc, 0).stats();
+        for (unsigned k = 1; k < kClustersPerType; ++k)
+            mergeFields(d, pg_.domain(uc, k).stats());
+        if (uc == UnitClass::Int) {
+            c.intBusyCycles = d.busyCycles;
+            c.intGatedCycles = d.gatedCycles();
+            c.intCompCycles = d.compCycles;
+            c.intGatingEvents = d.gatingEvents;
+            c.intWakeups = d.wakeups;
+            c.intCriticalWakeups = d.criticalWakeups;
             c.intIdleDetect = pg_.idleDetectValue(uc);
         } else {
-            c.fpBusyCycles = busy;
-            c.fpGatedCycles = gated;
-            c.fpCompCycles = comp;
-            c.fpGatingEvents = events;
-            c.fpWakeups = wakeups;
-            c.fpCriticalWakeups = critical;
+            c.fpBusyCycles = d.busyCycles;
+            c.fpGatedCycles = d.gatedCycles();
+            c.fpCompCycles = d.compCycles;
+            c.fpGatingEvents = d.gatingEvents;
+            c.fpWakeups = d.wakeups;
+            c.fpCriticalWakeups = d.criticalWakeups;
             c.fpIdleDetect = pg_.idleDetectValue(uc);
         }
     }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "exec/unit.hh"
 #include "mem/memsys.hh"
@@ -75,6 +76,40 @@ struct SmSnapshot
     /** Metrics section; present iff the SM had a sampler attached. */
     bool hasSampler = false;
     metrics::SamplerState sampler;
+
+    static constexpr auto
+    fields()
+    {
+        using S = SmSnapshot;
+        return std::tuple{
+            field("now", &S::now),
+            field("done", &S::done),
+            field("finishedStats", &S::finishedStats),
+            field("liveWarps", &S::liveWarps),
+            field("ldstIdleRun", &S::ldstIdleRun),
+            field("rrCluster", &S::rrCluster),
+            field("active", &S::active),
+            field("waiting", &S::waiting),
+            field("pending", &S::pending),
+            field("warps", &S::warps),
+            field("scoreboard", &S::scoreboard),
+            field("scoreboardLong", &S::scoreboardLong),
+            field("scheduler", &S::scheduler),
+            field("intUnits", &S::intUnits),
+            field("fpUnits", &S::fpUnits),
+            field("sfu", &S::sfu),
+            field("ldst", &S::ldst),
+            field("mem", &S::mem),
+            field("pg", &S::pg),
+            field("stats", &S::stats),
+            field("hasTrace", &S::hasTrace),
+            field("traceEvents", &S::traceEvents).onlyIf(&S::hasTrace),
+            field("traceOverwritten", &S::traceOverwritten)
+                .onlyIf(&S::hasTrace),
+            field("hasSampler", &S::hasSampler),
+            field("sampler", &S::sampler).onlyIf(&S::hasSampler),
+        };
+    }
 };
 
 /** Checkpoint of a whole-GPU run at one runUntil() boundary. */
@@ -82,6 +117,13 @@ struct GpuSnapshot
 {
     Cycle cycle = 0;             ///< the runUntil() checkpoint cycle
     std::vector<SmSnapshot> sms; ///< one per SM, SM index order
+
+    static constexpr auto
+    fields()
+    {
+        using S = GpuSnapshot;
+        return std::tuple{field("cycle", &S::cycle), field("sms", &S::sms)};
+    }
 };
 
 } // namespace wg

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace wg::trace {
@@ -45,6 +46,13 @@ enum class EventKind : std::uint8_t {
 /** Number of distinct EventKind values. */
 inline constexpr std::size_t kNumEventKinds = 15;
 
+/** Decode bound of EventKind (common/fields.hh). */
+constexpr EnumRange
+enumRange(EventKind)
+{
+    return {kNumEventKinds, "unknown event kind"};
+}
+
 /** Why a cluster was gated. */
 enum class GateReason : std::uint8_t {
     IdleDetect, ///< idle-detect counter reached the window
@@ -71,6 +79,16 @@ struct Event
     std::uint8_t cluster = kNoCluster; ///< cluster index, or kNoCluster
     std::uint8_t arg = 0;          ///< kind-specific small payload
     std::uint32_t value = 0;       ///< kind-specific payload
+
+    static constexpr auto
+    fields()
+    {
+        using S = Event;
+        return std::tuple{field("cycle", &S::cycle), field("kind", &S::kind),
+                          field("unit", &S::unit),
+                          field("cluster", &S::cluster),
+                          field("arg", &S::arg), field("value", &S::value)};
+    }
 };
 
 /** Printable names (stable identifiers used by every sink). */

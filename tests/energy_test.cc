@@ -122,7 +122,7 @@ TEST(EnergyModel, UnitEnergyAdd)
     a.staticSaved = 4;
     a.staticNoPg = 5;
     b = a;
-    a.add(b);
+    mergeFields(a, b);
     EXPECT_DOUBLE_EQ(a.dynamicE, 2);
     EXPECT_DOUBLE_EQ(a.staticE, 4);
     EXPECT_DOUBLE_EQ(a.overheadE, 6);

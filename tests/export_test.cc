@@ -11,6 +11,7 @@
 
 #include "core/presets.hh"
 #include "report/export.hh"
+#include "serve/json.hh"
 #include "sim/gpu.hh"
 
 namespace wg {
@@ -75,6 +76,19 @@ TEST(Export, JsonEscapesLabel)
     SimResult r = smallResult();
     std::string json = toJson("we\"ird\\label", r);
     EXPECT_NE(json.find("we\\\"ird\\\\label"), std::string::npos);
+}
+
+TEST(Export, JsonEscapesControlBytesInLabel)
+{
+    // \r, \b, \f and raw bytes below 0x20 must be escaped or the
+    // report is not valid JSON.
+    const std::string label = "a\r\x01\b\f\"z";
+    const std::string json = toJson(label, smallResult());
+    serve::Json doc;
+    std::string error;
+    ASSERT_TRUE(serve::Json::parse(json, doc, error)) << error;
+    ASSERT_NE(doc.find("label"), nullptr);
+    EXPECT_EQ(doc.find("label")->asString(), label);
 }
 
 TEST(Export, WriteFileRoundTrip)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Metrics pipeline tests: PgDomainStats::merge, the epoch sampler
+ * Metrics pipeline tests: PgDomainStats merge, the epoch sampler
  * (delta correctness, boundary alignment with the adaptive epoch
  * clock), the StatSet registry conversion, the three exporters
  * (golden files + load round-trips), the comparison engine behind
@@ -46,7 +46,7 @@ profile()
     return p;
 }
 
-// ---- PgDomainStats::merge ----
+// ---- PgDomainStats merge (from its field list) ----
 
 TEST(PgDomainStatsMerge, SumsEveryCounter)
 {
@@ -64,7 +64,7 @@ TEST(PgDomainStatsMerge, SumsEveryCounter)
     a.coordGateVetoes = 11;
 
     PgDomainStats b = a;
-    b.merge(a);
+    mergeFields(b, a);
     EXPECT_EQ(b.busyCycles, 2u);
     EXPECT_EQ(b.idleOnCycles, 4u);
     EXPECT_EQ(b.uncompCycles, 6u);

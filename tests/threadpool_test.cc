@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/threadpool.hh"
@@ -238,6 +240,37 @@ TEST(ThreadPool, StatsReportThreadsTasksAndIdleState)
     EXPECT_EQ(after.active, 0u);
     // Steals are timing-dependent; the counter only ever grows.
     EXPECT_GE(after.steals, before.steals);
+}
+
+TEST(ThreadPool, NestedFanOutBusyTimeIsExclusive)
+{
+    // Outer tasks help run their inner tasks while they wait; charging
+    // an outer task for that time would count the inner work twice.
+    ThreadPool pool(2);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::future<int>> outer;
+    for (int i = 0; i < 4; ++i)
+        outer.push_back(pool.submit([&pool] {
+            std::vector<std::future<int>> inner;
+            for (int j = 0; j < 8; ++j)
+                inner.push_back(pool.submit([] {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+                    return 1;
+                }));
+            const std::vector<int> done = pool.waitAll(inner);
+            return std::accumulate(done.begin(), done.end(), 0);
+        }));
+    const std::vector<int> sums = pool.waitAll(outer);
+    pool.drain(); // every runTask has recorded its time
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), 0), 32);
+    const PoolStats s = pool.stats();
+    EXPECT_EQ(s.tasksExecuted, 36u);
+    EXPECT_GT(s.busySeconds, 0.0);
+    EXPECT_LE(s.busySeconds, s.threads * wall);
 }
 
 TEST(ThreadPool, StatsSeeDrainState)

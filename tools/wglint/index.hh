@@ -6,8 +6,6 @@
  * view is deterministic and identical between serial and parallel
  * scans. The index powers every cross-file rule:
  *
- *   - D3/D5: catalogued stats/snapshot structs, their fields, and the
- *     bodies of merge/registry/codec functions.
  *   - D1 (interprocedural): every function definition with its body
  *     token range, so the rules layer can build a call graph and
  *     propagate nondeterminism taint across translation units.
@@ -29,48 +27,6 @@
 #include "tokenizer.hh"
 
 namespace wglint {
-
-// ---------------------------------------------------------------------
-// D3/D5: catalogued structs
-// ---------------------------------------------------------------------
-
-struct FieldInfo
-{
-    std::string name;
-    int line = 0;
-    std::string file;
-    std::vector<std::string> typeTokens;
-    bool suppressed = false;   ///< wglint:allow(D3) on the field
-    bool suppressedD5 = false; ///< wglint:allow(D5) on the field
-};
-
-struct StructInfo
-{
-    std::string file;
-    int line = 0;
-    std::vector<FieldInfo> fields;
-    /** inline method name -> identifiers appearing in its body. */
-    std::map<std::string, std::set<std::string>> methods;
-    bool seen = false;
-};
-
-struct D3Entry
-{
-    const char* structName;
-    const char* mergeFn;   ///< "" = struct has no merge contract
-    bool mergeIsMember;    ///< true: inline member; false: free fn
-    const char* registryFn;
-};
-
-struct D5Entry
-{
-    const char* structName;
-    const char* toJsonFn;
-    const char* fromJsonFn;
-};
-
-extern const std::vector<D3Entry>& d3Catalogue();
-extern const std::vector<D5Entry>& d5Catalogue();
 
 // ---------------------------------------------------------------------
 // Concurrency + call-graph facts
@@ -105,9 +61,6 @@ struct ClassInfo
 /** Everything indexed from ONE file; built independently per file. */
 struct FileIndex
 {
-    std::map<std::string, StructInfo> structs;
-    /** free (or out-of-line qualified) function name -> body idents. */
-    std::map<std::string, std::set<std::string>> functions;
     std::map<std::string, ClassInfo> classes;
     std::vector<FunctionDef> defs; ///< scanIdx unset until merge
     std::set<std::string> mutexNames;
@@ -116,16 +69,14 @@ struct FileIndex
 /** The merged, whole-tree view. */
 struct Index
 {
-    std::map<std::string, StructInfo> structs;
-    std::map<std::string, std::set<std::string>> functions;
     std::map<std::string, ClassInfo> classes;
     std::vector<FunctionDef> defs;
     std::set<std::string> mutexNames;
 
     /**
      * Fold one file's facts in. MUST be called in sorted-path order:
-     * struct identity is first-definition-wins, and the defs vector
-     * order seeds every deterministic tie-break downstream.
+     * the defs vector order seeds every deterministic tie-break
+     * downstream.
      */
     void merge(FileIndex&& fi, std::size_t scanIdx);
 };

@@ -16,20 +16,10 @@
  *   D2  no iteration over unordered containers in result-affecting
  *       code (stats, metrics, report, trace sinks, exporters, tools) —
  *       hash order leaks straight into files CI diffs byte-for-byte.
- *   D3  stats-registration drift — every field of the catalogued stats
- *       structs (PgDomainStats, ClusterStats, SmStats, SimResult) must
- *       appear in the matching merge() and registry (toStatSet-side)
- *       function. This is the static twin of the PR 3
- *       PgDomainStats::merge drift bug.
  *   D4  metric names passed to StatSet accessors contain no '_', so
  *       the Prometheus '.' -> '_' exposition mapping stays bijective;
  *       likewise JSON keys embedded in string literals (hand-built
  *       wire frames, the event log) stay camelCase.
- *   D5  snapshot-field drift — every field of the checkpointed state
- *       structs (RngState, SchedulerState, SmSnapshot, ...) must
- *       appear in both halves of its serve/snapshot codec
- *       (xToJson/xFromJson); a field added to the struct but not the
- *       codec would silently break resume bit-identity.
  *   C1  no raw `.lock()`/`.unlock()` on mutex-typed names outside the
  *       annotated RAII wrappers (common/thread_annotations.hh) — the
  *       static twin of the thread-safety annotation rollout.

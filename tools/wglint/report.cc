@@ -2,7 +2,11 @@
 
 #include <ostream>
 
+#include "common/jsonescape.hh"
+
 namespace wglint {
+
+using wg::jsonEscape;
 
 bool
 violationLess(const Violation& a, const Violation& b)
@@ -25,18 +29,10 @@ ruleHint(const std::string& rule)
     if (rule == "D2")
         return "use std::map/std::set (ordered) or copy keys into a "
                "sorted vector before iterating";
-    if (rule == "D3")
-        return "add the field to the merge() and registry functions, "
-               "or annotate the field with '// wglint:allow(D3)'";
     if (rule == "D4")
         return "registry names are '.'-separated and wire keys are "
                "camelCase; keep '_' out so the Prometheus '.'->'_' "
                "mapping stays bijective";
-    if (rule == "D5")
-        return "serialize the field in both codec halves "
-               "(xToJson/xFromJson in serve/snapshot.cc), or annotate "
-               "it with '// wglint:allow(D5)' if it is derived state "
-               "that restore() recomputes";
     if (rule == "H1")
         return "add '#pragma once' as the first directive and keep "
                "'using namespace' out of headers";
@@ -50,34 +46,6 @@ ruleHint(const std::string& rule)
                "*Locked if a caller already holds it, or add "
                "'// wglint:allow(C2)' for single-threaded phases";
     return "";
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            // Any remaining control byte (stray \f, raw bytes < 0x20
-            // leaking out of scanned source) must be \u-escaped or
-            // the jsonl record is invalid JSON.
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char* kHex = "0123456789abcdef";
-                out += "\\u00";
-                out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-                out += kHex[static_cast<unsigned char>(c) & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 void
@@ -117,15 +85,9 @@ printRules(std::ostream& out)
         << "D2  no unordered_map/unordered_set iteration in "
            "result-affecting code (stats, metrics, report, trace, "
            "export, sinks, tools)\n"
-        << "D3  every field of PgDomainStats/ClusterStats/SmStats/"
-           "SimResult appears in its merge() and registry function\n"
         << "D4  metric-name literals passed to StatSet accessors and "
            "JSON keys embedded in string literals (wire frames, "
            "event log) contain no '_'\n"
-        << "D5  every field of the snapshotted state structs "
-           "(RngState, SchedulerState, SmSnapshot, ...) appears in "
-           "both halves of its serve/snapshot codec "
-           "(xToJson/xFromJson)\n"
         << "C1  no raw mutex lock()/unlock() calls outside the "
            "annotated RAII wrappers (common/thread_annotations.hh)\n"
         << "C2  a field guarded by a lock in one place (WG_GUARDED_BY "

@@ -29,9 +29,6 @@ bool violationLess(const Violation& a, const Violation& b);
 /** One-line fix hint per rule, shown in both output formats. */
 std::string ruleHint(const std::string& rule);
 
-/** Minimal JSON string escaping (control bytes become \\u00XX). */
-std::string jsonEscape(const std::string& s);
-
 /**
  * Emit sorted violations in `format` ("text" or "jsonl") followed by
  * the text-format summary line ("wglint: clean (...)" / "FAILED").

@@ -392,121 +392,6 @@ checkH1(const FileScan& scan, std::vector<Violation>& out)
 }
 
 // ---------------------------------------------------------------------
-// D3 / D5: registration and codec drift over the merged index
-// ---------------------------------------------------------------------
-
-bool
-isHistogramField(const FieldInfo& f)
-{
-    for (const std::string& t : f.typeTokens)
-        if (t == "Histogram")
-            return true;
-    return false;
-}
-
-void
-checkD3(const Index& index, std::vector<Violation>& out)
-{
-    for (const D3Entry& entry : d3Catalogue()) {
-        auto sit = index.structs.find(entry.structName);
-        if (sit == index.structs.end() || !sit->second.seen)
-            continue;
-        const StructInfo& info = sit->second;
-
-        const std::set<std::string>* mergeBody = nullptr;
-        if (entry.mergeFn[0] != '\0') {
-            if (entry.mergeIsMember) {
-                auto mit = info.methods.find(entry.mergeFn);
-                if (mit != info.methods.end())
-                    mergeBody = &mit->second;
-            } else {
-                auto fit = index.functions.find(entry.mergeFn);
-                if (fit != index.functions.end())
-                    mergeBody = &fit->second;
-            }
-        }
-        const std::set<std::string>* registryBody = nullptr;
-        {
-            auto fit = index.functions.find(entry.registryFn);
-            if (fit != index.functions.end())
-                registryBody = &fit->second;
-        }
-
-        for (const FieldInfo& f : info.fields) {
-            if (f.suppressed)
-                continue;
-            if (mergeBody && !mergeBody->count(f.name))
-                out.push_back(
-                    {"D3", f.file, f.line,
-                     std::string(entry.structName) + "::" + f.name +
-                         " is not merged in " + entry.mergeFn + "()",
-                     ruleHint("D3")});
-            if (registryBody && !isHistogramField(f) &&
-                !registryBody->count(f.name))
-                out.push_back(
-                    {"D3", f.file, f.line,
-                     std::string(entry.structName) + "::" + f.name +
-                         " is not registered in " + entry.registryFn +
-                         "()",
-                     ruleHint("D3")});
-        }
-    }
-}
-
-void
-checkD5(const Index& index, std::vector<Violation>& out)
-{
-    for (const D5Entry& entry : d5Catalogue()) {
-        auto sit = index.structs.find(entry.structName);
-        if (sit == index.structs.end() || !sit->second.seen)
-            continue;
-        const StructInfo& info = sit->second;
-
-        // Both codec halves must exist before field-level checks make
-        // sense; a missing codec shows up as every field drifting,
-        // which is noise. Report the absent function once instead.
-        const std::set<std::string>* toJson = nullptr;
-        const std::set<std::string>* fromJson = nullptr;
-        if (auto fit = index.functions.find(entry.toJsonFn);
-            fit != index.functions.end())
-            toJson = &fit->second;
-        if (auto fit = index.functions.find(entry.fromJsonFn);
-            fit != index.functions.end())
-            fromJson = &fit->second;
-        if (toJson == nullptr || fromJson == nullptr) {
-            out.push_back(
-                {"D5", info.file, info.line,
-                 std::string(entry.structName) +
-                     " has no codec function " +
-                     (toJson == nullptr ? entry.toJsonFn
-                                        : entry.fromJsonFn) +
-                     "()",
-                 ruleHint("D5")});
-            continue;
-        }
-
-        for (const FieldInfo& f : info.fields) {
-            if (f.suppressedD5)
-                continue;
-            if (!toJson->count(f.name))
-                out.push_back(
-                    {"D5", f.file, f.line,
-                     std::string(entry.structName) + "::" + f.name +
-                         " is not serialized in " + entry.toJsonFn +
-                         "()",
-                     ruleHint("D5")});
-            if (!fromJson->count(f.name))
-                out.push_back(
-                    {"D5", f.file, f.line,
-                     std::string(entry.structName) + "::" + f.name +
-                         " is not restored in " + entry.fromJsonFn +
-                         "()",
-                     ruleHint("D5")});
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Body semantics: calls, guarded-ness, writes, taint sources
 // ---------------------------------------------------------------------
 
@@ -877,9 +762,6 @@ void
 checkTree(const std::vector<FileScan>& scans, const Index& index,
           bool interprocedural, std::vector<Violation>& out)
 {
-    checkD3(index, out);
-    checkD5(index, out);
-
     std::vector<BodySemantics> sems;
     sems.reserve(index.defs.size());
     for (const FunctionDef& def : index.defs)

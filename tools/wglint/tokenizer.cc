@@ -252,15 +252,4 @@ skipBalanced(const std::vector<Token>& t, std::size_t i,
     return n;
 }
 
-std::set<std::string>
-bodyIdents(const std::vector<Token>& t, std::size_t open,
-           std::size_t end)
-{
-    std::set<std::string> out;
-    for (std::size_t i = open; i < end; ++i)
-        if (t[i].kind == TokKind::Ident)
-            out.insert(t[i].text);
-    return out;
-}
-
 } // namespace wglint

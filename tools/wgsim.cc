@@ -32,47 +32,6 @@ namespace {
 
 using namespace wg;
 
-/** Resolve a --technique name; exits on garbage. */
-bool
-findTechnique(const std::string& name, Technique& out)
-{
-    for (Technique t : allTechniques()) {
-        if (name == techniqueName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findScheduler(const std::string& name, SchedulerPolicy& out)
-{
-    for (SchedulerPolicy p : {SchedulerPolicy::TwoLevel,
-                              SchedulerPolicy::Gates,
-                              SchedulerPolicy::Gto}) {
-        if (name == schedulerPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-findPolicy(const std::string& name, PgPolicy& out)
-{
-    for (PgPolicy p : {PgPolicy::None, PgPolicy::Conventional,
-                       PgPolicy::NaiveBlackout,
-                       PgPolicy::CoordinatedBlackout}) {
-        if (name == pgPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** The whole command line, declaratively (drives parsing and --help). */
 constexpr FlagSpec kFlags[] = {
     {"bench", FlagKind::String, "hotspot",
@@ -170,7 +129,7 @@ main(int argc, char** argv)
     }
 
     Technique tech = Technique::Baseline;
-    if (!findTechnique(args.getString("technique"), tech)) {
+    if (!serve::wire::parseTechnique(args.getString("technique"), tech)) {
         std::fprintf(stderr, "unknown technique '%s'\n",
                      args.getString("technique").c_str());
         return 2;
@@ -192,7 +151,7 @@ main(int argc, char** argv)
     ident.options = opts;
     if (args.given("scheduler")) {
         SchedulerPolicy p;
-        if (!findScheduler(args.getString("scheduler"), p)) {
+        if (!parseSchedulerPolicy(args.getString("scheduler"), p)) {
             std::fprintf(stderr, "unknown scheduler '%s'\n",
                          args.getString("scheduler").c_str());
             return 2;
@@ -201,7 +160,7 @@ main(int argc, char** argv)
     }
     if (args.given("pg")) {
         PgPolicy p;
-        if (!findPolicy(args.getString("pg"), p)) {
+        if (!parsePgPolicy(args.getString("pg"), p)) {
             std::fprintf(stderr, "unknown pg policy '%s'\n",
                          args.getString("pg").c_str());
             return 2;
