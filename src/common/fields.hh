@@ -16,7 +16,7 @@
  * how the member combines across SMs and epochs (FieldRule) and, for
  * stats, its StatSet name. Merge and the epoch delta are derived below;
  * StatSet registration (metrics/registry.cc) and the JSON codec
- * (serve/wire_detail.hh) walk the same list. forEachField() refuses to
+ * (common/codec.hh) walk the same list. forEachField() refuses to
  * compile a list whose length differs from the struct's member count,
  * so a member added without an entry breaks the build.
  */

@@ -1,6 +1,5 @@
 #include "exporters.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -175,19 +174,6 @@ parseMetricsFormat(const std::string& name, MetricsFormat& out)
         }
     }
     return false;
-}
-
-std::string
-formatMetricValue(double value)
-{
-    constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
-    if (std::isfinite(value) && value == std::floor(value) &&
-        std::fabs(value) < kMaxExactInt) {
-        return std::to_string(static_cast<long long>(value));
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
 }
 
 std::string

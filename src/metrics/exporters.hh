@@ -12,8 +12,9 @@
  *             `# final` section of name,value registry lines.
  *
  * All exporters drain samplers in ascending SM order and samples in
- * epoch order, and format numbers deterministically (integers exactly,
- * doubles with round-trip precision), so output depends only on the
+ * epoch order, and format numbers with formatMetricValue
+ * (common/json.hh: integers exactly, doubles with round-trip
+ * precision), so output depends only on the
  * simulated work — a pooled run's file is byte-identical to the serial
  * run's.
  */
@@ -24,6 +25,7 @@
 #include <string>
 
 #include "common/histogram.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "metrics/sampler.hh"
 
@@ -37,13 +39,6 @@ const char* metricsFormatName(MetricsFormat format);
 
 /** Parse a --metrics-format value. @return false when unknown. */
 bool parseMetricsFormat(const std::string& name, MetricsFormat& out);
-
-/**
- * Deterministic number formatting: integral values (|v| < 2^53) print
- * without a decimal point, everything else with round-trip (%.17g)
- * precision, so load(export(set)) == set exactly.
- */
-std::string formatMetricValue(double value);
 
 /**
  * Serialise @p set (and, for csv/jsonl, @p collector's epoch series)

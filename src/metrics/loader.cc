@@ -1,10 +1,10 @@
 #include "loader.hh"
 
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace wg::metrics {
@@ -12,211 +12,43 @@ namespace wg::metrics {
 namespace {
 
 /**
- * Minimal recursive-descent JSON reader, just enough for the wgsim
- * result documents and the wgmetrics JSONL lines. Numeric/boolean
- * leaves are emitted into a StatSet under dotted keys; strings and
- * nulls parse but emit nothing.
+ * Input limits of every loaded JSON document: the DOM's defaults. The
+ * largest files wgsim and wgctl write stay far inside them: a final
+ * registry line holds about 230 members (64 SMs, --profile), a --json
+ * report nests four levels deep and its idle histograms have 65 bins.
+ * Nesting past maxDepth is a clean parse error, never a stack overflow.
  */
-class JsonFlattener
+constexpr JsonLimits kLoaderLimits{};
+
+/** Emit every numeric/boolean leaf below @p v under dotted @p key. */
+void
+flatten(const Json& v, const std::string& key, StatSet& out)
 {
-  public:
-    JsonFlattener(const std::string& text, StatSet& out)
-        : text_(text), out_(out)
-    {
-    }
-
-    bool
-    run(std::string& error)
-    {
-        pos_ = 0;
-        if (!value("")) {
-            error = error_.empty() ? "malformed JSON" : error_;
-            return false;
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing content after JSON document";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    fail(const std::string& what)
-    {
-        error_ = what + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return fail("bad escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u':
-                    // Registry names are ASCII; keep the raw escape.
-                    if (pos_ + 4 > text_.size())
-                        return fail("bad \\u escape");
-                    out += "\\u" + text_.substr(pos_, 4);
-                    pos_ += 4;
-                    break;
-                  default: return fail("bad escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    value(const std::string& key)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{')
-            return object(key);
-        if (c == '[')
-            return array(key);
-        if (c == '"') {
-            std::string ignored;
-            return parseString(ignored);
-        }
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            if (!key.empty())
-                out_.set(key, 1.0);
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            if (!key.empty())
-                out_.set(key, 0.0);
-            return true;
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        return number(key);
-    }
-
-    bool
-    number(const std::string& key)
-    {
-        const char* start = text_.c_str() + pos_;
-        char* end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a value");
-        pos_ += static_cast<std::size_t>(end - start);
+    auto child = [&key](const std::string& name) {
+        return key.empty() ? name : key + "." + name;
+    };
+    switch (v.kind()) {
+      case Json::Kind::Object:
+        for (const auto& [name, member] : v.members())
+            flatten(member, child(name), out);
+        break;
+      case Json::Kind::Array:
+        for (std::size_t i = 0; i < v.items().size(); ++i)
+            flatten(v.items()[i], child(std::to_string(i)), out);
+        break;
+      case Json::Kind::Number:
         if (!key.empty())
-            out_.set(key, v);
-        return true;
+            out.set(key, v.asDouble());
+        break;
+      case Json::Kind::Bool:
+        if (!key.empty())
+            out.set(key, v.asBool() ? 1.0 : 0.0);
+        break;
+      case Json::Kind::String:
+      case Json::Kind::Null:
+        break;
     }
-
-    bool
-    object(const std::string& prefix)
-    {
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            std::string name;
-            skipWs();
-            if (!parseString(name))
-                return false;
-            if (!consume(':'))
-                return false;
-            std::string key =
-                prefix.empty() ? name : prefix + "." + name;
-            if (!value(key))
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    array(const std::string& prefix)
-    {
-        if (!consume('['))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        std::size_t index = 0;
-        for (;;) {
-            std::string key = prefix.empty()
-                                  ? std::to_string(index)
-                                  : prefix + "." +
-                                        std::to_string(index);
-            if (!value(key))
-                return false;
-            ++index;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume(']');
-        }
-    }
-
-    const std::string& text_;
-    StatSet& out_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
+}
 
 /** Dotted registry name from a Prometheus sample name. */
 std::string
@@ -228,6 +60,16 @@ fromPromName(const std::string& name)
         if (c == '_')
             c = '.';
     return out;
+}
+
+/** The number starting at @p at in @p line; false when there is none. */
+bool
+parseSampleValue(const std::string& line, std::size_t at, double& out)
+{
+    const char* start = line.c_str() + at;
+    char* end = nullptr;
+    out = std::strtod(start, &end);
+    return end != start;
 }
 
 bool
@@ -243,9 +85,8 @@ parseProm(const std::string& content, StatSet& out, std::string& error)
             error = "malformed exposition line: " + line;
             return false;
         }
-        char* end = nullptr;
-        double v = std::strtod(line.c_str() + space + 1, &end);
-        if (end == line.c_str() + space + 1) {
+        double v = 0.0;
+        if (!parseSampleValue(line, space + 1, v)) {
             error = "bad sample value: " + line;
             return false;
         }
@@ -276,8 +117,12 @@ parseFinalCsv(const std::string& content, StatSet& out,
             error = "malformed final-section line: " + line;
             return false;
         }
-        out.set(line.substr(0, comma),
-                std::strtod(line.c_str() + comma + 1, nullptr));
+        double v = 0.0;
+        if (!parseSampleValue(line, comma + 1, v)) {
+            error = "bad final-section value: " + line;
+            return false;
+        }
+        out.set(line.substr(0, comma), v);
     }
     if (!seen_final) {
         error = "no '# final' section in metrics CSV";
@@ -294,14 +139,12 @@ parseJsonl(const std::string& content, StatSet& out, std::string& error)
     while (std::getline(is, line)) {
         if (line.find("\"type\":\"final\"") == std::string::npos)
             continue;
-        StatSet flat;
-        if (!flattenJson(line, flat, error))
+        Json doc;
+        if (!Json::parse(line, doc, error, kLoaderLimits))
             return false;
         // Strip the enclosing {"type":"final","stats":{...}} level.
-        for (const auto& [name, value] : flat.entries()) {
-            if (name.rfind("stats.", 0) == 0)
-                out.set(name.substr(6), value);
-        }
+        if (const Json* stats = doc.find("stats"))
+            flatten(*stats, "", out);
         return true;
     }
     error = "no final-registry line in metrics JSONL";
@@ -313,7 +156,11 @@ parseJsonl(const std::string& content, StatSet& out, std::string& error)
 bool
 flattenJson(const std::string& json, StatSet& out, std::string& error)
 {
-    return JsonFlattener(json, out).run(error);
+    Json doc;
+    if (!Json::parse(json, doc, error, kLoaderLimits))
+        return false;
+    flatten(doc, "", out);
+    return true;
 }
 
 bool

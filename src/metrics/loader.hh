@@ -34,10 +34,12 @@ bool parseStatSet(const std::string& content, StatSet& out,
 StatSet loadStatSet(const std::string& path);
 
 /**
- * Flatten one JSON document: every numeric (or boolean) leaf becomes
- * `a.b.c` -> value; array elements use their index as the key
- * component. Strings and nulls are ignored.
- * @return false (with @p error set) on malformed JSON.
+ * Flatten one JSON document (parsed by Json::parse under fixed
+ * limits): every numeric (or boolean, as 1/0) leaf becomes `a.b.c` ->
+ * value; array elements use their index as the key component. Strings
+ * and nulls are ignored.
+ * @return false (with @p error set) on malformed or too deeply nested
+ *         JSON.
  */
 bool flattenJson(const std::string& json, StatSet& out,
                  std::string& error);

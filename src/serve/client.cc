@@ -3,12 +3,18 @@
 #include <chrono>
 #include <thread>
 
+#include "common/codec.hh"
 #include "serve/protocol.hh"
 #include "serve/snapshot.hh"
 
 namespace wg::serve {
 
+using namespace codec;
+
 namespace {
+
+/** Root of the error paths of daemon responses. */
+const std::string kRoot = "$";
 
 Json
 requestEnvelope(const std::string& type)
@@ -57,31 +63,20 @@ Client::roundTrip(const Json& request, const std::string& expect,
         error = "malformed response: " + error;
         return false;
     }
-    const Json* wire_v = response.find("wire");
-    const Json* type = response.find("type");
-    const Json* req = response.find("request");
-    if (wire_v == nullptr || !wire_v->isNumber() ||
-        wire_v->asU64() < wire::kMinSchemaVersion ||
-        wire_v->asU64() > wire::kSchemaVersion || type == nullptr ||
-        !type->isString() || type->asString() != "response") {
-        error = "response missing a valid wire envelope";
+    std::string req;
+    bool ok = false;
+    if (!wire::checkEnvelope(response, "response", error) ||
+        !getString(response, kRoot, "request", req, error) ||
+        !decodeMember(response, JsonPath(kRoot), "ok", ok, error))
         return false;
-    }
-    if (req == nullptr || !req->isString() ||
-        req->asString() != expect) {
+    if (req != expect) {
         error = "response for the wrong request type";
         return false;
     }
-    const Json* ok = response.find("ok");
-    if (ok == nullptr || !ok->isBool()) {
-        error = "response missing boolean 'ok'";
-        return false;
-    }
-    if (!ok->asBool()) {
-        const Json* err = response.find("error");
-        error = (err != nullptr && err->isString())
-                    ? err->asString()
-                    : "daemon reported an unspecified error";
+    if (!ok) {
+        std::string why = "daemon reported an unspecified error";
+        getOptionalString(response, kRoot, "error", why, error);
+        error = why;
         return false;
     }
     return true;
@@ -97,16 +92,8 @@ Client::submit(const SweepSpec& spec, unsigned priority,
     Json resp;
     if (!roundTrip(req, "submit", timeout_ms_, resp, error))
         return false;
-    const Json* jid = resp.find("id");
-    const Json* jdeduped = resp.find("deduped");
-    if (jid == nullptr || !jid->isString()) {
-        error = "submit response missing 'id'";
-        return false;
-    }
-    id = jid->asString();
-    deduped = jdeduped != nullptr && jdeduped->isBool() &&
-              jdeduped->asBool();
-    return true;
+    return getString(resp, kRoot, "id", id, error) &&
+           decodeMember(resp, JsonPath(kRoot), "deduped", deduped, error);
 }
 
 bool
@@ -130,20 +117,10 @@ Client::submitSnapshot(const Json& snapshotDoc, unsigned priority,
     Json resp;
     if (!roundTrip(req, "submit", timeout_ms_, resp, error))
         return false;
-    const Json* jid = resp.find("id");
-    const Json* jdeduped = resp.find("deduped");
-    const Json* jseeded = resp.find("seeded");
-    if (jid == nullptr || !jid->isString()) {
-        error = "submit response missing 'id'";
-        return false;
-    }
-    id = jid->asString();
-    deduped = jdeduped != nullptr && jdeduped->isBool() &&
-              jdeduped->asBool();
-    seeded = (jseeded != nullptr && jseeded->isNumber())
-                 ? jseeded->asU64()
-                 : 0;
-    return true;
+    const JsonPath at(kRoot);
+    return getString(resp, kRoot, "id", id, error) &&
+           decodeMember(resp, at, "deduped", deduped, error) &&
+           decodeMember(resp, at, "seeded", seeded, error);
 }
 
 bool
@@ -155,11 +132,11 @@ Client::checkpoint(const std::string& id, Json& snapshotDoc,
     Json resp;
     if (!roundTrip(req, "checkpoint", timeout_ms_, resp, error))
         return false;
-    const Json* snap = resp.find("snapshot");
-    if (snap == nullptr || !snap->isObject()) {
-        error = "checkpoint response missing 'snapshot'";
+    const Json* snap = nullptr;
+    if (!getMember(resp, kRoot, "snapshot", snap, error))
         return false;
-    }
+    if (!snap->isObject())
+        return failAt(error, "$.snapshot", "expected an object");
     snapshotDoc = Json(*snap);
     return true;
 }
@@ -173,12 +150,9 @@ Client::status(const std::string& id, JobStatus& out,
     Json resp;
     if (!roundTrip(req, "status", timeout_ms_, resp, error))
         return false;
-    const Json* job = resp.find("job");
-    if (job == nullptr) {
-        error = "status response missing 'job'";
-        return false;
-    }
-    return parseStatusJson(*job, out, error);
+    const Json* job = nullptr;
+    return getMember(resp, kRoot, "job", job, error) &&
+           parseStatusJson(*job, out, error);
 }
 
 bool
@@ -188,11 +162,9 @@ Client::listJobs(std::vector<JobStatus>& out, std::string& error)
     if (!roundTrip(requestEnvelope("status"), "status", timeout_ms_,
                    resp, error))
         return false;
-    const Json* jobs = resp.find("jobs");
-    if (jobs == nullptr || !jobs->isArray()) {
-        error = "status response missing 'jobs'";
+    const Json* jobs = nullptr;
+    if (!getArray(resp, kRoot, "jobs", 0, jobs, error))
         return false;
-    }
     out.clear();
     for (const Json& j : jobs->items()) {
         JobStatus s;
@@ -238,11 +210,9 @@ Client::results(const std::string& id,
     Json resp;
     if (!roundTrip(req, "result", timeout_ms_, resp, error))
         return false;
-    const Json* cells = resp.find("cells");
-    if (cells == nullptr || !cells->isArray()) {
-        error = "result response missing 'cells'";
+    const Json* cells = nullptr;
+    if (!getArray(resp, kRoot, "cells", 0, cells, error))
         return false;
-    }
     out.clear();
     for (const Json& doc : cells->items()) {
         wire::ResultCell cell;
@@ -269,19 +239,18 @@ Client::stats(std::map<std::string, double>& out, std::string& error)
     if (!roundTrip(requestEnvelope("stats"), "stats", timeout_ms_,
                    resp, error))
         return false;
-    const Json* stats = resp.find("stats");
-    if (stats == nullptr || !stats->isObject()) {
-        error = "stats response missing 'stats'";
+    const Json* stats = nullptr;
+    if (!getMember(resp, kRoot, "stats", stats, error))
         return false;
-    }
+    if (!stats->isObject())
+        return failAt(error, "$.stats", "expected an object");
     out.clear();
-    for (const auto& [name, value] : stats->members()) {
-        if (!value.isNumber()) {
-            error = "stat '" + name + "' is not a number";
+    const JsonPath root(kRoot);
+    const JsonPath at(root, "stats");
+    for (const auto& [name, value] : stats->members())
+        if (!decodeValue(value, JsonPath(at, name.c_str()), out[name],
+                         error))
             return false;
-        }
-        out[name] = value.asDouble();
-    }
     return true;
 }
 
@@ -298,60 +267,37 @@ namespace {
 bool
 parseFrameLine(const Json& doc, Frame& out, std::string& error)
 {
-    const Json* kind = doc.find("frame");
-    const Json* id = doc.find("id");
-    if (kind == nullptr || !kind->isString() || id == nullptr ||
-        !id->isString()) {
-        error = "frame missing 'frame'/'id'";
-        return false;
-    }
+    const std::string path = "frame";
+    const JsonPath at(path);
     out = Frame{};
-    out.jobId = id->asString();
-    const std::string& k = kind->asString();
-    auto getU64 = [&](const char* key, std::uint64_t& dst) {
-        const Json* m = doc.find(key);
-        if (m == nullptr || !m->isNumber()) {
-            error = std::string("frame missing numeric '") + key + "'";
-            return false;
-        }
-        dst = m->asU64();
-        return true;
-    };
+    std::string k;
+    if (!getString(doc, path, "frame", k, error) ||
+        !getString(doc, path, "id", out.jobId, error))
+        return false;
     if (k == "meta" || k == "epoch" || k == "final") {
         out.kind = k == "meta" ? FrameKind::Meta
                    : k == "epoch" ? FrameKind::Epoch
                                   : FrameKind::Final;
-        std::uint64_t cell = 0;
-        if (!getU64("cell", cell))
+        const Json* data = nullptr;
+        if (!decodeMember(doc, at, "cell", out.cell, error) ||
+            !getMember(doc, path, "data", data, error))
             return false;
-        out.cell = static_cast<std::size_t>(cell);
-        const Json* data = doc.find("data");
-        if (data == nullptr || !data->isObject()) {
-            error = "frame missing object 'data'";
-            return false;
-        }
+        if (!data->isObject())
+            return failAt(error, path + ".data", "expected an object");
         // dump() re-emits preserved number lexemes, so these are the
         // exact bytes the daemon embedded (the offline jsonl line).
         out.data = data->dump();
-        if (out.kind == FrameKind::Meta) {
-            if (const Json* b = doc.find("bench"))
-                if (b->isString())
-                    out.bench = b->asString();
-            if (const Json* t = doc.find("technique"))
-                if (t->isString())
-                    out.technique = t->asString();
-        }
-        return true;
+        return out.kind != FrameKind::Meta ||
+               (getOptionalString(doc, path, "bench", out.bench, error) &&
+                getOptionalString(doc, path, "technique", out.technique,
+                                  error));
     }
     if (k == "progress") {
         out.kind = FrameKind::Progress;
-        std::uint64_t completed = 0;
-        std::uint64_t total = 0;
-        if (!getU64("completedCells", completed) ||
-            !getU64("totalCells", total))
+        if (!decodeMember(doc, at, "completedCells", out.completedCells,
+                          error) ||
+            !decodeMember(doc, at, "totalCells", out.totalCells, error))
             return false;
-        out.completedCells = static_cast<std::size_t>(completed);
-        out.totalCells = static_cast<std::size_t>(total);
         const Json* eta = doc.find("etaMs");
         out.etaMs =
             (eta != nullptr && eta->isNumber()) ? eta->asDouble() : -1.0;
@@ -359,19 +305,12 @@ parseFrameLine(const Json& doc, Frame& out, std::string& error)
     }
     if (k == "result") {
         out.kind = FrameKind::Result;
-        const Json* state = doc.find("state");
-        if (state == nullptr || !state->isString()) {
-            error = "result frame missing 'state'";
-            return false;
-        }
-        out.state = state->asString();
-        if (const Json* err = doc.find("error"))
-            if (err->isString())
-                out.error = err->asString();
-        return getU64("droppedFrames", out.droppedFrames);
+        return getString(doc, path, "state", out.state, error) &&
+               getOptionalString(doc, path, "error", out.error, error) &&
+               decodeMember(doc, at, "droppedFrames", out.droppedFrames,
+                            error);
     }
-    error = "unknown frame kind '" + k + "'";
-    return false;
+    return failAt(error, path + ".frame", "unknown frame kind '" + k + "'");
 }
 
 } // namespace

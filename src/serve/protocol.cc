@@ -1,5 +1,6 @@
 #include "protocol.hh"
 
+#include "common/codec.hh"
 #include "common/stats.hh"
 #include "serve/snapshot.hh"
 #include "serve/wire.hh"
@@ -309,73 +310,31 @@ statusJson(const JobStatus& status)
 bool
 parseStatusJson(const Json& j, JobStatus& out, std::string& error)
 {
-    if (!j.isObject()) {
-        error = "job status must be an object";
-        return false;
-    }
-    auto getString = [&](const char* key, std::string& dst,
-                         bool required) {
-        const Json* m = j.find(key);
-        if (m == nullptr) {
-            if (required)
-                error = std::string("job status missing '") + key + "'";
-            return !required;
-        }
-        if (!m->isString()) {
-            error = std::string("job status '") + key +
-                    "' must be a string";
-            return false;
-        }
-        dst = m->asString();
-        return true;
-    };
-    auto getU64 = [&](const char* key, std::uint64_t& dst) {
-        const Json* m = j.find(key);
-        if (m == nullptr || !m->isNumber()) {
-            error = std::string("job status missing numeric '") + key +
-                    "'";
-            return false;
-        }
-        dst = m->asU64();
-        return true;
-    };
+    using namespace codec;
+    const std::string path = "status";
+    const JsonPath at(path);
     std::string state;
-    if (!getString("id", out.id, true) ||
-        !getString("state", state, true) ||
-        !getString("error", out.error, false))
+    if (!getString(j, path, "id", out.id, error) ||
+        !getString(j, path, "state", state, error) ||
+        !getOptionalString(j, path, "error", out.error, error) ||
+        !decodeMember(j, at, "priority", out.priority, error) ||
+        !decodeMember(j, at, "totalCells", out.totalCells, error) ||
+        !decodeMember(j, at, "completedCells", out.completedCells,
+                      error) ||
+        !decodeMember(j, at, "deduped", out.deduped, error) ||
+        !decodeMember(j, at, "submitSeq", out.submitSeq, error) ||
+        !decodeMember(j, at, "startSeq", out.startSeq, error))
         return false;
-    bool known = false;
     for (JobState s :
          {JobState::Queued, JobState::Running, JobState::Done,
           JobState::Cancelled, JobState::Failed}) {
         if (state == jobStateName(s)) {
             out.state = s;
-            known = true;
-            break;
+            return true;
         }
     }
-    if (!known) {
-        error = "unknown job state '" + state + "'";
-        return false;
-    }
-    std::uint64_t priority = 0;
-    std::uint64_t total = 0;
-    std::uint64_t completed = 0;
-    if (!getU64("priority", priority) || !getU64("totalCells", total) ||
-        !getU64("completedCells", completed) ||
-        !getU64("submitSeq", out.submitSeq) ||
-        !getU64("startSeq", out.startSeq))
-        return false;
-    out.priority = static_cast<unsigned>(priority);
-    out.totalCells = static_cast<std::size_t>(total);
-    out.completedCells = static_cast<std::size_t>(completed);
-    const Json* deduped = j.find("deduped");
-    if (deduped == nullptr || !deduped->isBool()) {
-        error = "job status missing boolean 'deduped'";
-        return false;
-    }
-    out.deduped = deduped->asBool();
-    return true;
+    return failAt(error, path + ".state",
+                  "unknown job state '" + state + "'");
 }
 
 } // namespace wg::serve

@@ -32,8 +32,8 @@
 #include <memory>
 #include <string>
 
+#include "common/json.hh"
 #include "serve/jobs.hh"
-#include "serve/json.hh"
 
 namespace wg::serve {
 

@@ -4,6 +4,7 @@
 
 namespace wg::serve::wire {
 
+using namespace codec;
 using namespace detail;
 
 namespace {

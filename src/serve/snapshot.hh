@@ -103,7 +103,7 @@ bool parseJobSnapshotDoc(const Json& doc, std::string& id,
 // ----- the GpuSnapshot body -----
 //
 // Encoded from the field lists (common/fields.hh) by the codec in
-// serve/wire_detail.hh; @p path prefixes error messages with the
+// common/codec.hh; @p path prefixes error messages with the
 // dotted location of the offending member.
 
 Json gpuSnapshotToJson(const GpuSnapshot& s);

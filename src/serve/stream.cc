@@ -1,7 +1,7 @@
 #include "stream.hh"
 
+#include "common/json.hh"
 #include "metrics/exporters.hh"
-#include "serve/json.hh"
 #include "serve/wire.hh"
 
 namespace wg::serve::stream {
@@ -81,7 +81,7 @@ progressFrame(const std::string& id, std::size_t completedCells,
     out += std::to_string(totalCells);
     if (etaMs >= 0.0) {
         out += ",\"etaMs\":";
-        out += metrics::formatMetricValue(etaMs);
+        out += formatMetricValue(etaMs);
     }
     out += '}';
     return out;

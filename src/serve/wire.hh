@@ -39,6 +39,8 @@
 #include <string>
 
 #include "core/experiment.hh"
+// The forwarding header, so code that reaches wg::serve::Json through
+// the serve headers (perfbench/workloads.cc) keeps building.
 #include "serve/json.hh"
 
 namespace wg::serve::wire {

@@ -59,12 +59,18 @@ enum class GateReason : std::uint8_t {
     CoordDrain, ///< coordinated blackout: peer gated and ACTV == 0
 };
 
+/** Number of distinct GateReason values. */
+inline constexpr std::size_t kNumGateReasons = 2;
+
 /** Why a cluster was woken. */
 enum class WakeReason : std::uint8_t {
     Demand,        ///< issue-blocked wakeup request, past break-even
     Critical,      ///< request was pending the cycle blackout ended
     Uncompensated, ///< conventional gating woke before break-even
 };
+
+/** Number of distinct WakeReason values. */
+inline constexpr std::size_t kNumWakeReasons = 3;
 
 /** Sentinel for events with no unit/cluster association. */
 inline constexpr std::uint8_t kNoUnit = 0xff;
@@ -97,12 +103,10 @@ const char* gateReasonName(GateReason reason);
 const char* wakeReasonName(WakeReason reason);
 
 /**
- * Parse a kind/reason name back into its enum (sink round-trip for the
- * offline checker). @return false when @p name is unknown.
+ * Parse a kind name back into its enum (the JSONL reader).
+ * @return false when @p name is unknown.
  */
 bool parseEventKind(const char* name, EventKind& out);
-bool parseGateReason(const char* name, GateReason& out);
-bool parseWakeReason(const char* name, WakeReason& out);
 
 /**
  * Trace-wide metadata every sink emits ahead of the event stream and
@@ -126,6 +130,26 @@ struct Meta
     std::uint32_t criticalThreshold = 0;
     std::uint32_t decrementEpochs = 0;
     bool gateSfu = false;       ///< SFU runs conventional gating
+
+    static constexpr auto
+    fields()
+    {
+        using S = Meta;
+        return std::tuple{field("version", &S::version),
+                          field("policy", &S::policy),
+                          field("scheduler", &S::scheduler),
+                          field("sms", &S::numSms),
+                          field("idleDetect", &S::idleDetect),
+                          field("breakEven", &S::breakEven),
+                          field("wakeupDelay", &S::wakeupDelay),
+                          field("adaptive", &S::adaptive),
+                          field("idleDetectMin", &S::idleDetectMin),
+                          field("idleDetectMax", &S::idleDetectMax),
+                          field("epochLength", &S::epochLength),
+                          field("criticalThreshold", &S::criticalThreshold),
+                          field("decrementEpochs", &S::decrementEpochs),
+                          field("gateSfu", &S::gateSfu)};
+    }
 };
 
 } // namespace wg::trace

@@ -1,5 +1,7 @@
 #include "recorder.hh"
 
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace wg::trace {
@@ -48,41 +50,17 @@ wakeReasonName(WakeReason reason)
     return "?";
 }
 
-namespace {
-
-template <typename E>
 bool
-parseByName(const char* name, E& out, std::size_t count,
-            const char* (*to_name)(E))
+parseEventKind(const char* name, EventKind& out)
 {
-    for (std::size_t i = 0; i < count; ++i) {
-        E candidate = static_cast<E>(i);
-        if (std::string(name) == to_name(candidate)) {
-            out = candidate;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+        const auto kind = static_cast<EventKind>(k);
+        if (std::strcmp(name, eventKindName(kind)) == 0) {
+            out = kind;
             return true;
         }
     }
     return false;
-}
-
-} // namespace
-
-bool
-parseEventKind(const char* name, EventKind& out)
-{
-    return parseByName(name, out, kNumEventKinds, eventKindName);
-}
-
-bool
-parseGateReason(const char* name, GateReason& out)
-{
-    return parseByName(name, out, 2, gateReasonName);
-}
-
-bool
-parseWakeReason(const char* name, WakeReason& out)
-{
-    return parseByName(name, out, 3, wakeReasonName);
 }
 
 Recorder::Recorder(SmId sm, std::size_t capacity) : sm_(sm)

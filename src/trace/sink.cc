@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "arch/instr.hh"
+#include "common/codec.hh"
 #include "common/logging.hh"
 
 namespace wg::trace {
@@ -16,10 +17,72 @@ namespace {
 constexpr std::array<const char*, 4> kLocNames = {"active", "pending",
                                                  "waiting", "finished"};
 
-const char*
-locName(std::uint8_t loc)
+/** How an event kind spells its `arg` on a JSONL line. */
+enum class ArgForm : std::uint8_t {
+    Number,
+    GateReason, ///< gateReasonName
+    WakeReason, ///< wakeReasonName
+    WarpLoc,    ///< kLocNames
+};
+
+/**
+ * Payload keys of one event kind: the arg member (when the kind has
+ * one) and how it is spelled, then the value member. Written and read
+ * in that order after the common sm/cycle/kind/unit/cluster keys.
+ */
+struct PayloadKeys
 {
-    return loc < kLocNames.size() ? kLocNames[loc] : "?";
+    const char* argKey = nullptr;
+    ArgForm arg = ArgForm::Number;
+    const char* valueKey = nullptr;
+};
+
+/** The per-kind payload table, indexed by EventKind. */
+constexpr std::array<PayloadKeys, kNumEventKinds> kPayload = {{
+    {nullptr, ArgForm::Number, "warp"},              // Issue
+    {},                                              // UnitIdle
+    {nullptr, ArgForm::Number, "idleRun"},           // UnitBusy
+    {"reason", ArgForm::GateReason, "actv"},         // Gate
+    {nullptr, ArgForm::Number, "held"},              // BetExpire
+    {},                                              // WakeupDenied
+    {"reason", ArgForm::WakeReason, nullptr},        // Wakeup
+    {},                                              // WakeupDone
+    {"criticals", ArgForm::Number, "window"},        // EpochUpdate
+    {},                                              // PrioritySwitch
+    {nullptr, ArgForm::Number, "warp"},              // GreedySwitch
+    {"loc", ArgForm::WarpLoc, "warp"},               // WarpMigrate
+    {nullptr, ArgForm::Number, "outstanding"},       // MshrFill
+    {nullptr, ArgForm::Number, "outstanding"},       // MshrDrain
+    {},                                              // MshrReject
+}};
+
+const PayloadKeys&
+payloadKeys(EventKind kind)
+{
+    return kPayload[static_cast<std::size_t>(kind)];
+}
+
+/** Name of a spelled @p arg, or nullptr when @p form has none for it. */
+const char*
+argName(ArgForm form, unsigned arg)
+{
+    switch (form) {
+      case ArgForm::Number:
+        break;
+      case ArgForm::GateReason:
+        if (arg < kNumGateReasons)
+            return gateReasonName(static_cast<GateReason>(arg));
+        break;
+      case ArgForm::WakeReason:
+        if (arg < kNumWakeReasons)
+            return wakeReasonName(static_cast<WakeReason>(arg));
+        break;
+      case ArgForm::WarpLoc:
+        if (arg < kLocNames.size())
+            return kLocNames[arg];
+        break;
+    }
+    return nullptr;
 }
 
 const char*
@@ -30,65 +93,50 @@ unitName(std::uint8_t unit)
     return unitClassName(static_cast<UnitClass>(unit));
 }
 
-/** Append `,"key":value` pairs specific to the event kind. */
+/** Append `,"key":value`. */
 void
-appendArgs(std::ostream& os, const Event& e)
+appendNumber(std::string& out, const char* key, std::uint64_t value)
 {
-    switch (e.kind) {
-      case EventKind::Issue:
-      case EventKind::GreedySwitch:
-        os << ",\"warp\":" << e.value;
-        break;
-      case EventKind::UnitBusy:
-        os << ",\"idleRun\":" << e.value;
-        break;
-      case EventKind::Gate:
-        os << ",\"reason\":\""
-           << gateReasonName(static_cast<GateReason>(e.arg))
-           << "\",\"actv\":" << e.value;
-        break;
-      case EventKind::BetExpire:
-        os << ",\"held\":" << e.value;
-        break;
-      case EventKind::Wakeup:
-        os << ",\"reason\":\""
-           << wakeReasonName(static_cast<WakeReason>(e.arg)) << "\"";
-        break;
-      case EventKind::EpochUpdate:
-        os << ",\"criticals\":" << static_cast<unsigned>(e.arg)
-           << ",\"window\":" << e.value;
-        break;
-      case EventKind::WarpMigrate:
-        os << ",\"loc\":\"" << locName(e.arg) << "\",\"warp\":" << e.value;
-        break;
-      case EventKind::MshrFill:
-      case EventKind::MshrDrain:
-        os << ",\"outstanding\":" << e.value;
-        break;
-      case EventKind::UnitIdle:
-      case EventKind::WakeupDenied:
-      case EventKind::WakeupDone:
-      case EventKind::PrioritySwitch:
-      case EventKind::MshrReject:
-        break;
-    }
+    out += ",\"";
+    out += key;
+    out += "\":";
+    out += std::to_string(value);
 }
 
+/** Append `,"key":"value"` (names only: nothing to escape). */
 void
-appendMeta(std::ostream& os, const Meta& m)
+appendString(std::string& out, const char* key, const char* value)
 {
-    os << "{\"meta\":{\"version\":" << m.version << ",\"policy\":\""
-       << m.policy << "\",\"scheduler\":\"" << m.scheduler
-       << "\",\"sms\":" << m.numSms << ",\"idleDetect\":" << m.idleDetect
-       << ",\"breakEven\":" << m.breakEven
-       << ",\"wakeupDelay\":" << m.wakeupDelay
-       << ",\"adaptive\":" << (m.adaptive ? "true" : "false")
-       << ",\"idleDetectMin\":" << m.idleDetectMin
-       << ",\"idleDetectMax\":" << m.idleDetectMax
-       << ",\"epochLength\":" << m.epochLength
-       << ",\"criticalThreshold\":" << m.criticalThreshold
-       << ",\"decrementEpochs\":" << m.decrementEpochs
-       << ",\"gateSfu\":" << (m.gateSfu ? "true" : "false") << "}}";
+    out += ",\"";
+    out += key;
+    out += "\":\"";
+    out += value;
+    out += '"';
+}
+
+/** Append the JSONL object of one event (no trailing newline). */
+void
+appendEvent(std::string& out, SmId sm, const Event& e)
+{
+    out += "{\"sm\":";
+    out += std::to_string(sm);
+    appendNumber(out, "cycle", e.cycle);
+    appendString(out, "kind", eventKindName(e.kind));
+    if (const char* u = unitName(e.unit)) {
+        appendString(out, "unit", u);
+        if (e.cluster != kNoCluster)
+            appendNumber(out, "cluster", e.cluster);
+    }
+    const PayloadKeys& p = payloadKeys(e.kind);
+    if (p.argKey != nullptr && p.arg == ArgForm::Number) {
+        appendNumber(out, p.argKey, e.arg);
+    } else if (p.argKey != nullptr) {
+        const char* name = argName(p.arg, e.arg);
+        appendString(out, p.argKey, name != nullptr ? name : "?");
+    }
+    if (p.valueKey != nullptr)
+        appendNumber(out, p.valueKey, e.value);
+    out += '}';
 }
 
 /** chrome://tracing tid for an event (one lane per pipeline). */
@@ -152,24 +200,16 @@ parseSinkFormat(const std::string& name, SinkFormat& out)
 std::string
 eventToJson(SmId sm, const Event& e)
 {
-    std::ostringstream os;
-    os << "{\"sm\":" << sm << ",\"cycle\":" << e.cycle << ",\"kind\":\""
-       << eventKindName(e.kind) << "\"";
-    if (const char* u = unitName(e.unit)) {
-        os << ",\"unit\":\"" << u << "\"";
-        if (e.cluster != kNoCluster)
-            os << ",\"cluster\":" << static_cast<unsigned>(e.cluster);
-    }
-    appendArgs(os, e);
-    os << "}";
-    return os.str();
+    std::string out;
+    appendEvent(out, sm, e);
+    return out;
 }
 
 void
 writeJsonl(std::ostream& os, const Collector& collector)
 {
-    appendMeta(os, collector.meta);
-    os << "\n";
+    os << "{\"meta\":" << codec::encode(collector.meta).dump() << "}\n";
+    std::string line;
     for (SmId s = 0; s < collector.numSms(); ++s) {
         const Recorder* r = collector.recorder(s);
         if (!r)
@@ -177,10 +217,127 @@ writeJsonl(std::ostream& os, const Collector& collector)
         if (r->overwritten() > 0)
             os << "{\"sm\":" << s << ",\"truncated\":" << r->overwritten()
                << "}\n";
-        r->forEach([&os, s](const Event& e) {
-            os << eventToJson(s, e) << "\n";
+        r->forEach([&](const Event& e) {
+            line.clear();
+            appendEvent(line, s, e);
+            line += '\n';
+            os << line;
         });
     }
+}
+
+namespace {
+
+bool
+parseUnitName(const std::string& name, std::uint8_t& out)
+{
+    for (unsigned u = 0; u < kNumUnitClasses; ++u) {
+        if (name == unitClassName(static_cast<UnitClass>(u))) {
+            out = static_cast<std::uint8_t>(u);
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+parseArgName(ArgForm form, const std::string& name, std::uint8_t& out)
+{
+    for (unsigned a = 0; const char* n = argName(form, a); ++a) {
+        if (name == n) {
+            out = static_cast<std::uint8_t>(a);
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Read the event members of @p doc (after "sm") into @p e. */
+bool
+parseEvent(const Json& doc, const std::string& path, Event& e,
+           std::size_t& keys, std::string& error)
+{
+    using namespace codec;
+    const JsonPath at(path);
+    std::string name;
+    if (!decodeMember(doc, at, "cycle", e.cycle, error) ||
+        !getString(doc, path, "kind", name, error))
+        return false;
+    if (!parseEventKind(name.c_str(), e.kind))
+        return failAt(error, path + ".kind", "unknown event kind");
+    keys += 2;
+    if (doc.find("unit") != nullptr) {
+        if (!getString(doc, path, "unit", name, error))
+            return false;
+        if (!parseUnitName(name, e.unit))
+            return failAt(error, path + ".unit", "unknown unit class");
+        ++keys;
+        if (doc.find("cluster") != nullptr) {
+            if (!decodeMember(doc, at, "cluster", e.cluster, error))
+                return false;
+            ++keys;
+        }
+    }
+    const PayloadKeys& p = payloadKeys(e.kind);
+    if (p.argKey != nullptr) {
+        ++keys;
+        if (p.arg == ArgForm::Number) {
+            if (!decodeMember(doc, at, p.argKey, e.arg, error))
+                return false;
+        } else {
+            if (!getString(doc, path, p.argKey, name, error))
+                return false;
+            if (!parseArgName(p.arg, name, e.arg))
+                return failAt(error, path + "." + p.argKey,
+                              "unknown name '" + name + "'");
+        }
+    }
+    if (p.valueKey != nullptr) {
+        ++keys;
+        if (!decodeMember(doc, at, p.valueKey, e.value, error))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+parseJsonlMeta(const std::string& line, Meta& out, std::string& error)
+{
+    const std::string path = "$";
+    Json doc;
+    return Json::parse(line, doc, error) &&
+           codec::decodeMember(doc, codec::JsonPath(path), "meta", out,
+                               error);
+}
+
+bool
+parseJsonlRecord(const std::string& line, JsonlRecord& out,
+                 std::string& error)
+{
+    const std::string path = "$";
+    const codec::JsonPath at(path);
+    Json doc;
+    out = JsonlRecord{};
+    if (!Json::parse(line, doc, error) ||
+        !codec::decodeMember(doc, at, "sm", out.sm, error))
+        return false;
+    std::size_t keys = 1;
+    if (doc.find("truncated") != nullptr) {
+        out.marker = true;
+        ++keys;
+        if (!codec::decodeMember(doc, at, "truncated", out.truncated,
+                                 error))
+            return false;
+    } else if (!parseEvent(doc, path, out.event, keys, error)) {
+        return false;
+    }
+    // Every expected key was found and the DOM rejects duplicates, so
+    // a count mismatch means a member the writer never emits.
+    if (doc.members().size() != keys)
+        return codec::failAt(error, path, "unexpected member");
+    return true;
 }
 
 void

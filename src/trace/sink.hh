@@ -6,7 +6,10 @@
  *   - Chrome  — a `chrome://tracing` / Perfetto-loadable JSON document
  *               (pid = SM, tid = unit pipeline, instant events)
  *   - JSONL   — one flat JSON object per line; the lossless machine
- *               format the offline checker (wgtrace) replays
+ *               format the offline checker (wgtrace) replays. Its
+ *               reader sits here beside the writer: the meta line is
+ *               Meta's field list through the codec, and both sides
+ *               take each kind's payload keys from one table
  *   - CSV     — per-epoch per-SM activity timeseries for spreadsheets
  *               and plotting scripts
  *
@@ -53,6 +56,31 @@ void writeTraceFile(const std::string& path, const Collector& collector,
 
 /** Serialise one event as the JSONL object (no trailing newline). */
 std::string eventToJson(SmId sm, const Event& event);
+
+/** One JSONL body line: an event, or a ring-wrap marker. */
+struct JsonlRecord
+{
+    SmId sm = 0;
+    bool marker = false;         ///< a `truncated` line, not an event
+    std::uint64_t truncated = 0; ///< marker: events the ring overwrote
+    Event event;                 ///< !marker: the event
+};
+
+/**
+ * Read the JSONL meta line (`{"meta":{...}}`); every Meta key is
+ * required and range-checked.
+ * @return false (with @p error set) when @p line is not a meta line.
+ */
+bool parseJsonlMeta(const std::string& line, Meta& out,
+                    std::string& error);
+
+/**
+ * Read one JSONL body line. It must carry exactly the keys the writer
+ * emits for it, each within its member's width.
+ * @return false (with @p error set) on a malformed line.
+ */
+bool parseJsonlRecord(const std::string& line, JsonlRecord& out,
+                      std::string& error);
 
 } // namespace wg::trace
 

@@ -9,9 +9,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "core/presets.hh"
 #include "report/export.hh"
-#include "serve/json.hh"
 #include "sim/gpu.hh"
 
 namespace wg {
@@ -84,9 +84,9 @@ TEST(Export, JsonEscapesControlBytesInLabel)
     // report is not valid JSON.
     const std::string label = "a\r\x01\b\f\"z";
     const std::string json = toJson(label, smallResult());
-    serve::Json doc;
+    Json doc;
     std::string error;
-    ASSERT_TRUE(serve::Json::parse(json, doc, error)) << error;
+    ASSERT_TRUE(Json::parse(json, doc, error)) << error;
     ASSERT_NE(doc.find("label"), nullptr);
     EXPECT_EQ(doc.find("label")->asString(), label);
 }

@@ -13,15 +13,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/codec.hh"
 #include "power/energymodel.hh"
-#include "serve/wire_detail.hh"
 #include "sim/snapshot.hh"
 
 namespace wg {
 namespace {
-
-using serve::Json;
-namespace codec = serve::wire::detail;
 
 template <class T>
 inline constexpr bool kIsVector = codec::kIsVector<T>;

@@ -313,12 +313,12 @@ TEST(Registry, NamesNeverContainUnderscores)
 
 TEST(Exporters, FormatMetricValueIsLosslessAndCompact)
 {
-    EXPECT_EQ(metrics::formatMetricValue(3.0), "3");
-    EXPECT_EQ(metrics::formatMetricValue(-17.0), "-17");
-    EXPECT_EQ(metrics::formatMetricValue(0.0), "0");
+    EXPECT_EQ(formatMetricValue(3.0), "3");
+    EXPECT_EQ(formatMetricValue(-17.0), "-17");
+    EXPECT_EQ(formatMetricValue(0.0), "0");
     // Non-integral doubles round-trip exactly through strtod.
     for (double v : {0.1, 1.0 / 3.0, 2.5e-7, 123456.789}) {
-        std::string s = metrics::formatMetricValue(v);
+        std::string s = formatMetricValue(v);
         EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
     }
 }
@@ -523,6 +523,44 @@ TEST(Loader, RejectsMalformedInput)
     std::string error;
     EXPECT_FALSE(metrics::flattenJson("{\"a\": ", set, error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(Loader, RejectsDeepNestingWithoutOverflow)
+{
+    // A recursive reader with no depth bound overflowed the stack here.
+    StatSet set;
+    std::string error;
+    EXPECT_FALSE(metrics::flattenJson(std::string(100000, '['), set, error));
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(Loader, RejectsNonJsonNumbers)
+{
+    for (const char* doc : {"{\"a\": nan}", "{\"a\": 0x10}",
+                            "{\"a\": inf}", "{\"a\": +1}",
+                            "{\"a\": .5}"}) {
+        StatSet set;
+        std::string error;
+        EXPECT_FALSE(metrics::flattenJson(doc, set, error)) << doc;
+        EXPECT_FALSE(error.empty()) << doc;
+    }
+}
+
+TEST(Loader, RejectsNonNumericCsvValue)
+{
+    StatSet set;
+    std::string error;
+    EXPECT_FALSE(metrics::parseStatSet(
+        "# wgmetrics v1\n# final\nname,value\ngpu.cycles,12\nfoo,bar\n",
+        set, error));
+    EXPECT_NE(error.find("foo,bar"), std::string::npos) << error;
+
+    set = StatSet();
+    ASSERT_TRUE(metrics::parseStatSet(
+        "# wgmetrics v1\n# final\nname,value\ngpu.cycles,12\n", set,
+        error))
+        << error;
+    EXPECT_EQ(set.get("gpu.cycles"), 12.0);
 }
 
 // ---- comparison engine ----

@@ -17,6 +17,7 @@
 #include "serve/client.hh"
 #include "serve/net.hh"
 #include "serve/server.hh"
+#include "serve/wire.hh"
 
 namespace {
 
@@ -315,6 +316,45 @@ TEST_F(ServeTest, DrainFinishesQueuedWorkThenRejects)
     EXPECT_FALSE(outcome.ok);
     EXPECT_NE(outcome.error.find("draining"), std::string::npos);
     client_ = serve::Client(); // connection is gone; skip TearDown drain
+}
+
+/**
+ * Client::stats against a stand-in daemon that answers one stats
+ * request with a non-numeric gauge: the client rejects the response
+ * with the gauge's dotted path.
+ */
+TEST(ServeClient, NonNumericStatIsAnErrorWithItsPath)
+{
+    std::string error;
+    std::uint16_t port = 0;
+    serve::Fd listener = serve::listenTcp(0, port, error);
+    ASSERT_TRUE(listener.valid()) << error;
+
+    std::thread daemon([&listener] {
+        std::string err;
+        serve::Fd conn = serve::acceptConn(listener.get(), 10000, err);
+        if (!conn.valid())
+            return;
+        serve::LineReader reader(conn.get());
+        std::string line;
+        if (reader.readLine(line, 10000, err) !=
+            serve::LineReader::Status::Line)
+            return;
+        serve::sendAll(conn.get(),
+                       "{\"wire\":" +
+                           std::to_string(serve::wire::kSchemaVersion) +
+                           ",\"type\":\"response\",\"request\":"
+                           "\"stats\",\"ok\":true,\"stats\":"
+                           "{\"serve.jobs\":1,\"serve.state\":\"up\"}}\n",
+                       err);
+    });
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(port, 2000, error)) << error;
+    std::map<std::string, double> stats;
+    EXPECT_FALSE(client.stats(stats, error));
+    EXPECT_EQ(error, "$.stats.serve.state: expected a number");
+    daemon.join();
 }
 
 } // namespace

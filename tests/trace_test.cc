@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hh"
 #include "core/warped_gates.hh"
 #include "sim/gpu.hh"
 #include "trace/recorder.hh"
@@ -288,6 +289,152 @@ TEST(Sink, EventToJsonCarriesIdentity)
     EXPECT_NE(json.find("1234"), std::string::npos);
     EXPECT_NE(json.find(trace::eventKindName(EventKind::Gate)),
               std::string::npos);
+}
+
+// ---- JSONL reader ----
+
+/** Field-by-field equality through the field lists. */
+template <class S>
+std::string
+encoded(const S& s)
+{
+    return codec::encode(s).dump();
+}
+
+TEST(JsonlReader, RoundTripsAWrappedHotspotTrace)
+{
+    GpuConfig config = makeConfig(Technique::WarpedGates);
+    config.numSms = 2;
+    ASSERT_TRUE(config.sm.fastForward);
+    trace::RecorderConfig cfg;
+    cfg.capacity = 256;
+    trace::Collector collector(cfg);
+    Gpu(config).run(smallProfile(), nullptr, &collector);
+    ASSERT_GT(collector.recorder(0)->overwritten(), 0u)
+        << "the ring must wrap";
+
+    std::ostringstream os;
+    trace::writeJsonl(os, collector);
+    const std::vector<std::string> lines = splitLines(os.str());
+    ASSERT_FALSE(lines.empty());
+
+    std::string error;
+    trace::Meta meta;
+    ASSERT_TRUE(trace::parseJsonlMeta(lines[0], meta, error)) << error;
+    EXPECT_EQ(encoded(meta), encoded(collector.meta));
+    EXPECT_EQ(meta.numSms, 2u);
+
+    std::vector<std::string> want;
+    for (SmId s = 0; s < collector.numSms(); ++s) {
+        const trace::Recorder* r = collector.recorder(s);
+        if (r->overwritten() > 0)
+            want.push_back("truncated " + std::to_string(s) + " " +
+                           std::to_string(r->overwritten()));
+        r->forEach([&](const Event& e) {
+            want.push_back(std::to_string(s) + " " + encoded(e));
+        });
+    }
+    std::vector<std::string> got;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        trace::JsonlRecord rec;
+        ASSERT_TRUE(trace::parseJsonlRecord(lines[i], rec, error))
+            << lines[i] << ": " << error;
+        got.push_back(rec.marker ? "truncated " + std::to_string(rec.sm) +
+                                       " " + std::to_string(rec.truncated)
+                                 : std::to_string(rec.sm) + " " +
+                                       encoded(rec.event));
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST(JsonlReader, EveryKindRoundTripsThroughThePayloadTable)
+{
+    for (std::size_t k = 0; k < trace::kNumEventKinds; ++k) {
+        Event e;
+        e.cycle = 1000 + k;
+        e.kind = static_cast<EventKind>(k);
+        e.unit = static_cast<std::uint8_t>(k % kNumUnitClasses);
+        e.cluster = static_cast<std::uint8_t>(k % 2);
+        e.arg = 1; // a valid gate reason, wake reason and warp location
+        e.value = 42;
+        const std::string line = trace::eventToJson(3, e);
+        trace::JsonlRecord rec;
+        std::string error;
+        ASSERT_TRUE(trace::parseJsonlRecord(line, rec, error))
+            << line << ": " << error;
+        EXPECT_FALSE(rec.marker);
+        EXPECT_EQ(rec.sm, 3u);
+        EXPECT_EQ(rec.event.cycle, e.cycle);
+        EXPECT_EQ(rec.event.kind, e.kind);
+        EXPECT_EQ(rec.event.unit, e.unit);
+        EXPECT_EQ(rec.event.cluster, e.cluster);
+        // arg/value survive exactly where the kind writes them.
+        EXPECT_EQ(trace::eventToJson(3, rec.event), line);
+    }
+}
+
+TEST(JsonlReader, RejectsOutOfRangeAndUnexpectedMembers)
+{
+    std::string error;
+    trace::JsonlRecord rec;
+    ASSERT_TRUE(trace::parseJsonlRecord(
+        R"({"sm":1,"cycle":5,"kind":"issue","unit":"INT","cluster":1,"warp":7})",
+        rec, error))
+        << error;
+    EXPECT_EQ(rec.event.cluster, 1u);
+    EXPECT_EQ(rec.event.value, 7u);
+
+    const char* bad[] = {
+        // Values a stoull-based reader wrapped or truncated silently.
+        R"({"sm":-1,"cycle":5,"kind":"unit-idle"})",
+        R"({"sm":4294967296,"cycle":5,"kind":"unit-idle"})",
+        R"({"sm":0,"cycle":-1,"kind":"unit-idle"})",
+        R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":300,"warp":1})",
+        R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":0,"warp":4294967296})",
+        R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":0,"warp":-1})",
+        R"({"sm":0,"cycle":5,"kind":"epoch-update","unit":"INT","criticals":256,"window":8})",
+        R"({"sm":0,"truncated":-1})",
+        // Missing, misplaced or extra members.
+        R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":0})",
+        R"({"sm":0,"cycle":5,"kind":"unit-idle","warp":1})",
+        R"({"sm":0,"cycle":5,"kind":"unit-idle","cluster":0})",
+        R"({"sm":0,"truncated":3,"cycle":1})",
+        R"({"cycle":5,"kind":"unit-idle"})",
+        // Unknown spellings and non-JSON.
+        R"({"sm":0,"cycle":5,"kind":"not-a-kind"})",
+        R"({"sm":0,"cycle":5,"kind":"unit-idle","unit":"GPU"})",
+        R"({"sm":0,"cycle":5,"kind":"gate","unit":"INT","cluster":0,"reason":"sleepy","actv":0})",
+        R"({"sm":0,"cycle":5,"kind":"warp-migrate","loc":"nowhere","warp":1})",
+        R"({"sm":0,"cycle":5,"kind":"wakeup","unit":"FP","cluster":0,"reason":2})",
+        R"({"sm":0,"cycle":0x10,"kind":"unit-idle"})",
+        R"({"sm":0,"cycle":5,"kind":"unit-idle"} trailing)",
+        "",
+    };
+    for (const char* line : bad) {
+        error.clear();
+        EXPECT_FALSE(trace::parseJsonlRecord(line, rec, error)) << line;
+        EXPECT_FALSE(error.empty()) << line;
+    }
+}
+
+TEST(JsonlReader, MetaLineNeedsEveryKey)
+{
+    trace::Collector collector = makeSampleCollector();
+    std::ostringstream os;
+    trace::writeJsonl(os, collector);
+    const std::string line = splitLines(os.str())[0];
+    trace::Meta meta;
+    std::string error;
+    ASSERT_TRUE(trace::parseJsonlMeta(line, meta, error)) << error;
+
+    // Drop the last member: a partial meta line is not a meta line.
+    std::string partial = line;
+    partial.erase(partial.rfind(','), partial.rfind('}') - 1 -
+                                          partial.rfind(','));
+    EXPECT_FALSE(trace::parseJsonlMeta(partial, meta, error)) << partial;
+    EXPECT_NE(error.find("gateSfu"), std::string::npos) << error;
+    EXPECT_FALSE(trace::parseJsonlMeta(
+        R"({"sm":0,"cycle":5,"kind":"unit-idle"})", meta, error));
 }
 
 TEST(Event, KindNamesRoundTrip)

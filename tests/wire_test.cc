@@ -15,17 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "core/experiment.hh"
 #include "metrics/registry.hh"
 #include "report/export.hh"
-#include "serve/json.hh"
 #include "serve/snapshot.hh"
 #include "serve/wire.hh"
 
 namespace {
 
 using namespace wg;
-using serve::Json;
 
 std::string
 goldenPath(const std::string& name)

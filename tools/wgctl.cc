@@ -342,9 +342,9 @@ main(int argc, char** argv)
             std::string text;
             if (!readFile(args.getString("resume"), text))
                 return fail("cannot read " + args.getString("resume"));
-            serve::Json doc;
+            Json doc;
             std::uint64_t seeded = 0;
-            if (!serve::Json::parse(text, doc, error))
+            if (!Json::parse(text, doc, error))
                 return fail(args.getString("resume") + ": " + error);
             if (!client.submitSnapshot(
                     doc, static_cast<unsigned>(args.getInt("priority")),
@@ -406,7 +406,7 @@ main(int argc, char** argv)
     if (command == "checkpoint") {
         if (!args.given("id"))
             return fail("checkpoint requires --id");
-        serve::Json snapshot;
+        Json snapshot;
         if (!client.checkpoint(args.getString("id"), snapshot, error))
             return fail(error);
         const std::string text = snapshot.dump() + "\n";
@@ -433,7 +433,7 @@ main(int argc, char** argv)
         Table table("wgservd gauges");
         table.header({"stat", "value"});
         for (const auto& [name, value] : stats)
-            table.row({name, metrics::formatMetricValue(value)});
+            table.row({name, formatMetricValue(value)});
         table.print();
         return 0;
     }

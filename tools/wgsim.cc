@@ -197,9 +197,9 @@ main(int argc, char** argv)
                          path.c_str());
             return 2;
         }
-        serve::Json doc;
+        Json doc;
         std::string error;
-        if (!serve::Json::parse(text, doc, error,
+        if (!Json::parse(text, doc, error,
                                 serve::wire::snapshotJsonLimits()) ||
             !serve::wire::parseSnapshotDoc(doc, ident, resume_snap,
                                            error)) {

@@ -25,7 +25,6 @@
 #include <iostream>
 #include <string>
 
-#include "arch/instr.hh"
 #include "common/args.hh"
 #include "trace/check.hh"
 #include "trace/sink.hh"
@@ -33,194 +32,6 @@
 namespace {
 
 using namespace wg;
-
-/**
- * Pull the raw token after `"key":` out of a flat single-level JSON
- * object (the only shape the JSONL sink emits). Quoted values are
- * returned without their quotes. @return false when the key is absent.
- */
-bool
-findRaw(const std::string& line, const std::string& key, std::string& out)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    if (pos >= line.size())
-        return false;
-    if (line[pos] == '"') {
-        std::size_t end = line.find('"', pos + 1);
-        if (end == std::string::npos)
-            return false;
-        out = line.substr(pos + 1, end - pos - 1);
-        return true;
-    }
-    std::size_t end = line.find_first_of(",}", pos);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(pos, end - pos);
-    return true;
-}
-
-bool
-findU64(const std::string& line, const std::string& key, std::uint64_t& out)
-{
-    std::string raw;
-    if (!findRaw(line, key, raw))
-        return false;
-    try {
-        out = std::stoull(raw);
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-bool
-parseUnitClass(const std::string& name, std::uint8_t& out)
-{
-    for (unsigned u = 0; u < kNumUnitClasses; ++u) {
-        if (name == unitClassName(static_cast<UnitClass>(u))) {
-            out = static_cast<std::uint8_t>(u);
-            return true;
-        }
-    }
-    return false;
-}
-
-/** WarpLoc spellings the sink emits (values match wg::WarpLoc). */
-int
-parseWarpLoc(const std::string& name)
-{
-    const char* names[] = {"active", "pending", "waiting", "finished"};
-    for (int i = 0; i < 4; ++i)
-        if (name == names[i])
-            return i;
-    return -1;
-}
-
-bool
-parseMeta(const std::string& line, trace::Meta& meta)
-{
-    std::string s;
-    std::uint64_t v = 0;
-    if (findU64(line, "version", v))
-        meta.version = static_cast<std::uint32_t>(v);
-    if (!findRaw(line, "policy", meta.policy))
-        return false;
-    if (!findRaw(line, "scheduler", meta.scheduler))
-        return false;
-    if (findU64(line, "sms", v))
-        meta.numSms = static_cast<std::uint32_t>(v);
-    if (findU64(line, "idleDetect", v))
-        meta.idleDetect = v;
-    if (findU64(line, "breakEven", v))
-        meta.breakEven = v;
-    if (findU64(line, "wakeupDelay", v))
-        meta.wakeupDelay = v;
-    if (findRaw(line, "adaptive", s))
-        meta.adaptive = s == "true";
-    if (findU64(line, "idleDetectMin", v))
-        meta.idleDetectMin = v;
-    if (findU64(line, "idleDetectMax", v))
-        meta.idleDetectMax = v;
-    if (findU64(line, "epochLength", v))
-        meta.epochLength = v;
-    if (findU64(line, "criticalThreshold", v))
-        meta.criticalThreshold = static_cast<std::uint32_t>(v);
-    if (findU64(line, "decrementEpochs", v))
-        meta.decrementEpochs = static_cast<std::uint32_t>(v);
-    if (findRaw(line, "gateSfu", s))
-        meta.gateSfu = s == "true";
-    return true;
-}
-
-/**
- * Reassemble a JSONL line into (sm, Event). @return false on a
- * malformed line (diagnostic printed by the caller).
- */
-bool
-parseEventLine(const std::string& line, SmId& sm, trace::Event& e)
-{
-    std::uint64_t v = 0;
-    std::string s;
-    if (!findU64(line, "sm", v))
-        return false;
-    sm = static_cast<SmId>(v);
-    if (!findU64(line, "cycle", v) || !findRaw(line, "kind", s))
-        return false;
-    e = trace::Event{};
-    e.cycle = v;
-    if (!trace::parseEventKind(s.c_str(), e.kind))
-        return false;
-
-    if (findRaw(line, "unit", s) && !parseUnitClass(s, e.unit))
-        return false;
-    if (findU64(line, "cluster", v))
-        e.cluster = static_cast<std::uint8_t>(v);
-
-    switch (e.kind) {
-      case trace::EventKind::Gate: {
-        trace::GateReason reason;
-        if (!findRaw(line, "reason", s) ||
-            !trace::parseGateReason(s.c_str(), reason))
-            return false;
-        e.arg = static_cast<std::uint8_t>(reason);
-        if (findU64(line, "actv", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      }
-      case trace::EventKind::Wakeup: {
-        trace::WakeReason reason;
-        if (!findRaw(line, "reason", s) ||
-            !trace::parseWakeReason(s.c_str(), reason))
-            return false;
-        e.arg = static_cast<std::uint8_t>(reason);
-        break;
-      }
-      case trace::EventKind::BetExpire:
-        if (findU64(line, "held", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      case trace::EventKind::EpochUpdate:
-        if (!findU64(line, "criticals", v))
-            return false;
-        e.arg = static_cast<std::uint8_t>(v);
-        if (!findU64(line, "window", v))
-            return false;
-        e.value = static_cast<std::uint32_t>(v);
-        break;
-      case trace::EventKind::WarpMigrate: {
-        if (!findRaw(line, "loc", s))
-            return false;
-        int loc = parseWarpLoc(s);
-        if (loc < 0)
-            return false;
-        e.arg = static_cast<std::uint8_t>(loc);
-        if (findU64(line, "warp", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      }
-      case trace::EventKind::Issue:
-      case trace::EventKind::GreedySwitch:
-        if (findU64(line, "warp", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      case trace::EventKind::UnitBusy:
-        if (findU64(line, "idleRun", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      case trace::EventKind::MshrFill:
-      case trace::EventKind::MshrDrain:
-        if (findU64(line, "outstanding", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
-      default:
-        break;
-    }
-    return true;
-}
 
 /** The whole command line, declaratively (drives parsing and --help). */
 constexpr FlagSpec kFlags[] = {
@@ -259,7 +70,8 @@ main(int argc, char** argv)
         return 2;
     }
     trace::Meta meta;
-    if (!parseMeta(line, meta)) {
+    std::string error;
+    if (!trace::parseJsonlMeta(line, meta, error)) {
         std::fprintf(stderr,
                      "wgtrace: '%s' does not start with a meta line (is "
                      "this a JSONL trace?)\n",
@@ -274,23 +86,18 @@ main(int argc, char** argv)
         ++line_no;
         if (line.empty())
             continue;
-        std::uint64_t lost = 0;
-        SmId sm = 0;
-        std::uint64_t sm_raw = 0;
-        if (findU64(line, "truncated", lost) &&
-            findU64(line, "sm", sm_raw)) {
-            checker.noteTruncated(static_cast<SmId>(sm_raw), lost);
-            continue;
-        }
-        trace::Event e;
-        if (!parseEventLine(line, sm, e)) {
+        trace::JsonlRecord rec;
+        if (!trace::parseJsonlRecord(line, rec, error)) {
             if (++bad_lines <= 5)
                 std::fprintf(stderr, "wgtrace: %s:%llu: malformed line\n",
                              path.c_str(),
                              static_cast<unsigned long long>(line_no));
             continue;
         }
-        checker.feed(sm, e);
+        if (rec.marker)
+            checker.noteTruncated(rec.sm, rec.truncated);
+        else
+            checker.feed(rec.sm, rec.event);
     }
     if (bad_lines > 0) {
         std::fprintf(stderr, "wgtrace: %llu malformed line(s)\n",
