@@ -226,7 +226,9 @@ decodeValue(const Json& v, const JsonPath& path, T& out,
         if (!v.isNumber() || v.asDouble() < 0)
             return failAt(error, path.str(),
                           "expected a non-negative number");
-        const std::uint64_t u = v.asU64();
+        std::uint64_t u = 0;
+        if (const char* why = v.toU64(u))
+            return failAt(error, path.str(), why);
         if constexpr (sizeof(T) < sizeof(std::uint64_t))
             if (u > std::numeric_limits<T>::max())
                 return failAt(error, path.str(), "out of range");

@@ -1,5 +1,6 @@
 #include "json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -120,6 +121,18 @@ Json::asU64() const
             return v;
     }
     return static_cast<std::uint64_t>(num_);
+}
+
+const char*
+Json::toU64(std::uint64_t& out) const
+{
+    if (lexeme_.empty() ||
+        lexeme_.find_first_not_of("0123456789") != std::string::npos)
+        return "expected an unsigned integer";
+    const char* last = lexeme_.data() + lexeme_.size();
+    if (std::from_chars(lexeme_.data(), last, out).ec != std::errc())
+        return "out of range";
+    return nullptr;
 }
 
 void

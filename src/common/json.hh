@@ -82,6 +82,13 @@ class Json
     double asDouble() const { return num_; }
     /** Value as an unsigned counter (truncates; caller range-checks). */
     std::uint64_t asU64() const;
+    /**
+     * Read the number exactly as an unsigned integer: its lexeme must
+     * be plain decimal digits (no '.', exponent or sign) within 64
+     * bits. @return null on success, else why not ("expected an
+     * unsigned integer" or "out of range").
+     */
+    const char* toU64(std::uint64_t& out) const;
     const std::string& asString() const { return str_; }
 
     /** Array elements (empty unless isArray()). */

@@ -128,7 +128,8 @@ class MemorySystem
     std::uint64_t misses() const { return misses_; }
     std::uint64_t stores() const { return stores_; }
 
-    /** Cycles during which at least one MSHR reject happened. */
+    /** LD/ST issue attempts rejected for MSHR capacity (one per
+     *  refused attempt, so a stalled cycle can count several). */
     std::uint64_t mshrRejects() const { return mshr_rejects_; }
 
     /** Record an issue attempt rejected for MSHR capacity. */
@@ -143,9 +144,8 @@ class MemorySystem
     }
 
     /**
-     * Bulk form of noteReject for fast-forwarded stall spans. Only
-     * valid untraced: the per-cycle MshrReject events a traced run
-     * emits cannot be reproduced here.
+     * Bulk form of noteReject for fast-forwarded stall spans; records
+     * no events (a traced replay calls noteReject per attempt).
      */
     void noteRejects(std::uint64_t count) { mshr_rejects_ += count; }
 

@@ -561,14 +561,10 @@ Sm::tryFastForward()
         clamp(u.nextEventCycle());
     clamp(sfu_.nextEventCycle());
     // An LD/ST occupancy retire only flips a busy flag that feeds the
-    // ldstBusyCycles counter (no PG domain, not a pg.tick input), and
-    // fastForward replays that piecewise from busyUntil(). Untraced,
-    // only its completions bound the horizon; traced runs keep the
-    // full event so the UnitIdle/UnitBusy records stay cycle-exact.
-    if (trace_)
-        clamp(ldst_.nextEventCycle());
-    else
-        clamp(ldst_.nextCompletionCycle());
+    // ldstBusyCycles counter and the trace's LD/ST idle run (no PG
+    // domain, not a pg.tick input); fastForward replays both from
+    // busyUntil(), so only its completions bound the horizon.
+    clamp(ldst_.nextCompletionCycle());
     clamp(mem_.nextEventCycle());
     if (h <= now_)
         return;
@@ -594,7 +590,8 @@ Sm::tryFastForward()
     // class, mirroring tryIssue*'s exact decision order; any attempt
     // that would issue — or fire a wakeup request — ends the analysis.
     // MSHR-rejected LD/ST attempts are the one replayable side effect:
-    // count them per cycle so fastForward can reproduce the tally.
+    // count them per cycle so fastForward can reproduce the tally (and,
+    // traced, the per-attempt MshrReject events).
     for (unsigned t = 0; t < 2; ++t) {
         const UnitClass uc = t == 0 ? UnitClass::Int : UnitClass::Fp;
         if (view.rdy[static_cast<std::size_t>(uc)] == 0)
@@ -638,11 +635,6 @@ Sm::tryFastForward()
                     return; // the attempt would issue
                 ++reject_attempts;
             }
-            // A traced run emits one MshrReject event per attempt per
-            // cycle, interleaved with scheduler replay events; not
-            // reproducible from here, so step those spans instead.
-            if (trace_ && reject_attempts > 0)
-                return;
         }
     }
 
@@ -674,11 +666,19 @@ Sm::fastForward(Cycle n, const SchedView& view,
     // beginCycle precedes pg.tick within a cycle (only GATES in its
     // blackout flip-flop regime emits events here, in cycle order).
     stats_.activeSizeAccum += n * active_.size();
-    scheduler_->fastForward(now_, n, view);
-    mem_.noteRejects(n * reject_attempts);
-
-    if (trace_ && !ldst_.busy())
-        ldst_idle_run_ += n; // run already open from the boundary step
+    // The span may cross the LD/ST pipeline's busy->idle flip (its
+    // occupancy retires are absorbed, not horizon events): the replayed
+    // cycles before busyUntil() are busy, the rest idle.
+    const Cycle ldst_busy_until = ldst_.busyUntil();
+    const Cycle busy = ldst_busy_until > now_
+                           ? std::min<Cycle>(n, ldst_busy_until - now_)
+                           : 0;
+    if (trace_) {
+        replayTraced(n, view, reject_attempts, busy);
+    } else {
+        scheduler_->fastForward(now_, n, view);
+        mem_.noteRejects(n * reject_attempts);
+    }
 
     const std::array<bool, kClustersPerType> int_busy = {int_[0].busy(),
                                                          int_[1].busy()};
@@ -688,16 +688,46 @@ Sm::fastForward(Cycle n, const SchedView& view,
 
     if (sfu_.busy())
         stats_.sfuBusyCycles += n;
-    // The span may cross the LD/ST pipeline's busy->idle flip (its
-    // occupancy retires are absorbed, not horizon events): count
-    // exactly the replayed cycles that precede busyUntil().
-    const Cycle ldst_busy_until = ldst_.busyUntil();
-    if (ldst_busy_until > now_)
-        stats_.ldstBusyCycles += std::min<Cycle>(n, ldst_busy_until - now_);
+    stats_.ldstBusyCycles += busy;
 
     now_ += n;
     ff_skipped_ += n;
     ++ff_spans_;
+}
+
+void
+Sm::replayTraced(Cycle n, const SchedView& view,
+                 std::uint64_t reject_attempts, Cycle busy)
+{
+    // Each replayed cycle records what its step would have, in step
+    // order: the scheduler's beginCycle events, then one MshrReject per
+    // refused LD/ST attempt (their value, the MSHR occupancy, is
+    // constant over the span), then the LD/ST UnitIdle that opens an
+    // idle run. Cycles without per-cycle rejects replay the scheduler
+    // in bulk. No UnitBusy can fall inside: a pipeline busy at the
+    // span's start was busy at the boundary step, which closed any run.
+    const Cycle idle_from = now_ + busy;
+    const bool opens_idle = busy < n && ldst_idle_run_ == 0;
+    auto replay = [&](Cycle from, Cycle len) {
+        if (reject_attempts == 0) {
+            scheduler_->fastForward(from, len, view);
+            return;
+        }
+        for (Cycle c = from; c < from + len; ++c) {
+            scheduler_->fastForward(c, 1, view);
+            for (std::uint64_t a = 0; a < reject_attempts; ++a)
+                mem_.noteReject(c);
+        }
+    };
+    if (opens_idle) {
+        replay(now_, idle_from + 1 - now_);
+        trace_->record(idle_from, trace::EventKind::UnitIdle,
+                       static_cast<std::uint8_t>(UnitClass::Ldst), 0);
+        replay(idle_from + 1, now_ + n - idle_from - 1);
+    } else {
+        replay(now_, n);
+    }
+    ldst_idle_run_ += n - busy;
 }
 
 void

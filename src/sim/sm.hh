@@ -202,6 +202,14 @@ class Sm
     void fastForward(Cycle n, const SchedView& view,
                      std::uint64_t reject_attempts);
 
+    /**
+     * fastForward's event replay under tracing: the scheduler, the
+     * @p reject_attempts MSHR rejects per cycle and the LD/ST idle run,
+     * whose pipeline stays busy for the first @p busy cycles.
+     */
+    void replayTraced(Cycle n, const SchedView& view,
+                      std::uint64_t reject_attempts, Cycle busy);
+
     /** Snapshot the live cumulative counters for the epoch sampler. */
     metrics::EpochCounters sampleCounters() const;
 

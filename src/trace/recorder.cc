@@ -1,6 +1,8 @@
 #include "recorder.hh"
 
+#include <cstdint>
 #include <cstring>
+#include <new>
 
 #include "common/logging.hh"
 
@@ -63,11 +65,14 @@ parseEventKind(const char* name, EventKind& out)
     return false;
 }
 
-Recorder::Recorder(SmId sm, std::size_t capacity) : sm_(sm)
+Recorder::Recorder(SmId sm, std::size_t capacity)
+    : sm_(sm), capacity_(capacity)
 {
-    if (capacity == 0)
-        fatal("trace::Recorder: capacity must be positive");
-    ring_.resize(capacity);
+    if (capacity == 0 || capacity > PTRDIFF_MAX / sizeof(Event))
+        fatal("trace::Recorder: capacity must be positive and "
+              "addressable");
+    ring_.reset(
+        static_cast<Event*>(::operator new(capacity * sizeof(Event))));
 }
 
 std::vector<Event>

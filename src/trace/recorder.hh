@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -53,8 +54,8 @@ class Recorder
         e.cluster = cluster;
         e.arg = arg;
         e.value = value;
-        next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
-        if (size_ < ring_.size())
+        next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+        if (size_ < capacity_)
             ++size_;
         else
             ++overwritten_;
@@ -68,7 +69,7 @@ class Recorder
     /** Events lost to ring wrap-around. */
     std::uint64_t overwritten() const { return overwritten_; }
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** Retained events, oldest first. */
     std::vector<Event> events() const;
@@ -89,19 +90,37 @@ class Recorder
             record(e.cycle, e.kind, e.unit, e.cluster, e.arg, e.value);
     }
 
-    /** Visit retained events oldest-first without copying. */
+    /**
+     * Visit retained events oldest-first without copying: a wrapped
+     * ring is two contiguous runs, [next_, end) then [0, next_).
+     */
     template <typename Fn>
     void
     forEach(Fn&& fn) const
     {
-        std::size_t start = size_ == ring_.size() ? next_ : 0;
-        for (std::size_t i = 0; i < size_; ++i)
-            fn(ring_[(start + i) % ring_.size()]);
+        const std::size_t start = size_ == capacity_ ? next_ : 0;
+        const std::size_t tail = std::min(size_, capacity_ - start);
+        for (std::size_t i = start; i < start + tail; ++i)
+            fn(ring_[i]);
+        for (std::size_t i = 0; i < size_ - tail; ++i)
+            fn(ring_[i]);
     }
 
   private:
     SmId sm_;
-    std::vector<Event> ring_;
+    /** Frees the ring's raw storage. */
+    struct RawDelete
+    {
+        void operator()(Event* p) const { ::operator delete(p); }
+    };
+
+    /**
+     * Ring storage, left uninitialised: record() writes each slot
+     * before anything reads it, so the pages are first touched by the
+     * SM's own worker instead of serially in Collector::prepare().
+     */
+    std::unique_ptr<Event[], RawDelete> ring_;
+    std::size_t capacity_;
     std::size_t next_ = 0;
     std::size_t size_ = 0;
     std::uint64_t overwritten_ = 0;

@@ -1,9 +1,13 @@
 #include "sink.hh"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "arch/instr.hh"
 #include "common/codec.hh"
@@ -85,58 +89,163 @@ argName(ArgForm form, unsigned arg)
     return nullptr;
 }
 
-const char*
-unitName(std::uint8_t unit)
-{
-    if (unit == kNoUnit)
-        return nullptr;
-    return unitClassName(static_cast<UnitClass>(unit));
-}
+/**
+ * Room reserved per formatted line. The fragments are short names, so
+ * an event object is at most ~150 bytes and a chrome event ~270.
+ */
+constexpr std::size_t kMaxLine = 512;
 
-/** Append `,"key":value`. */
-void
-appendNumber(std::string& out, const char* key, std::uint64_t value)
+/**
+ * Buffered text output: lines are formatted straight into a fixed
+ * local block, which goes to the stream with one write() whenever the
+ * next line might not fit.
+ */
+class BlockWriter
 {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-}
+  public:
+    explicit BlockWriter(std::ostream& os) : os_(os) {}
+    ~BlockWriter() { flush(); }
+    BlockWriter(const BlockWriter&) = delete;
+    BlockWriter& operator=(const BlockWriter&) = delete;
 
-/** Append `,"key":"value"` (names only: nothing to escape). */
-void
-appendString(std::string& out, const char* key, const char* value)
-{
-    out += ",\"";
-    out += key;
-    out += "\":\"";
-    out += value;
-    out += '"';
-}
-
-/** Append the JSONL object of one event (no trailing newline). */
-void
-appendEvent(std::string& out, SmId sm, const Event& e)
-{
-    out += "{\"sm\":";
-    out += std::to_string(sm);
-    appendNumber(out, "cycle", e.cycle);
-    appendString(out, "kind", eventKindName(e.kind));
-    if (const char* u = unitName(e.unit)) {
-        appendString(out, "unit", u);
-        if (e.cluster != kNoCluster)
-            appendNumber(out, "cluster", e.cluster);
+    /** Room for one line of at most kMaxLine bytes; commit() it. */
+    char*
+    line()
+    {
+        if (kBlock - len_ < kMaxLine)
+            flush();
+        return block_ + len_;
     }
-    const PayloadKeys& p = payloadKeys(e.kind);
-    if (p.argKey != nullptr && p.arg == ArgForm::Number) {
-        appendNumber(out, p.argKey, e.arg);
-    } else if (p.argKey != nullptr) {
-        const char* name = argName(p.arg, e.arg);
-        appendString(out, p.argKey, name != nullptr ? name : "?");
+
+    void
+    commit(const char* end)
+    {
+        len_ = static_cast<std::size_t>(end - block_);
     }
-    if (p.valueKey != nullptr)
-        appendNumber(out, p.valueKey, e.value);
-    out += '}';
+
+    void
+    append(std::string_view text)
+    {
+        if (kBlock - len_ < text.size())
+            flush();
+        if (text.size() > kBlock) {
+            os_.write(text.data(),
+                      static_cast<std::streamsize>(text.size()));
+            return;
+        }
+        std::memcpy(block_ + len_, text.data(), text.size());
+        len_ += text.size();
+    }
+
+    void
+    flush()
+    {
+        os_.write(block_, static_cast<std::streamsize>(len_));
+        len_ = 0;
+    }
+
+  private:
+    static constexpr std::size_t kBlock = 64 * 1024;
+    std::ostream& os_;
+    std::size_t len_ = 0;
+    char block_[kBlock];
+};
+
+/** Copy @p text to @p p; @return the end. */
+char*
+put(char* p, std::string_view text)
+{
+    std::memcpy(p, text.data(), text.size());
+    return p + text.size();
+}
+
+/** Decimal @p value at @p p; @return the end. */
+char*
+putNumber(char* p, std::uint64_t value)
+{
+    return std::to_chars(p, p + 20, value).ptr;
+}
+
+/**
+ * Every key of a JSONL line with its constant value, derived once from
+ * kPayload and the name functions: `,"kind":"gate"`, `,"unit":"INT"`,
+ * `,"reason":"demand"`, `,"warp":`.
+ */
+struct Fragments
+{
+    std::array<std::string, kNumEventKinds> kind;
+    std::array<std::string, kNumUnitClasses + 1> unit; ///< last: "?"
+    /** Number-form arg key, or every spelled arg then "?" per kind. */
+    std::array<std::vector<std::string>, kNumEventKinds> arg;
+    std::array<std::string, kNumEventKinds> value;
+
+    Fragments()
+    {
+        auto keyed = [](const char* key) {
+            return std::string(",\"") + key + "\":";
+        };
+        auto named = [&](const char* key, const char* name) {
+            return keyed(key) + '"' + name + '"';
+        };
+        for (unsigned u = 0; u < kNumUnitClasses; ++u)
+            unit[u] = named("unit",
+                            unitClassName(static_cast<UnitClass>(u)));
+        unit[kNumUnitClasses] = named("unit", "?");
+        for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+            kind[k] = named("kind",
+                            eventKindName(static_cast<EventKind>(k)));
+            const PayloadKeys& p = kPayload[k];
+            if (p.argKey != nullptr && p.arg == ArgForm::Number) {
+                arg[k].push_back(keyed(p.argKey));
+            } else if (p.argKey != nullptr) {
+                for (unsigned a = 0; const char* n = argName(p.arg, a); ++a)
+                    arg[k].push_back(named(p.argKey, n));
+                arg[k].push_back(named(p.argKey, "?"));
+            }
+            if (p.valueKey != nullptr)
+                value[k] = keyed(p.valueKey);
+        }
+    }
+};
+
+const Fragments&
+fragments()
+{
+    static const Fragments f;
+    return f;
+}
+
+/**
+ * Format the JSONL object of one event (no trailing newline) at @p p,
+ * which has room for kMaxLine bytes. @return the end.
+ */
+char*
+formatEvent(char* p, SmId sm, const Event& e)
+{
+    const Fragments& f = fragments();
+    const auto k = static_cast<std::size_t>(e.kind);
+    p = put(p, "{\"sm\":");
+    p = putNumber(p, sm);
+    p = put(p, ",\"cycle\":");
+    p = putNumber(p, e.cycle);
+    p = put(p, f.kind[k]);
+    if (e.unit != kNoUnit) {
+        p = put(p, f.unit[std::min<std::size_t>(e.unit, kNumUnitClasses)]);
+        if (e.cluster != kNoCluster) {
+            p = put(p, ",\"cluster\":");
+            p = putNumber(p, e.cluster);
+        }
+    }
+    const PayloadKeys& keys = kPayload[k];
+    const std::vector<std::string>& arg = f.arg[k];
+    if (keys.argKey != nullptr && keys.arg == ArgForm::Number)
+        p = putNumber(put(p, arg[0]), e.arg);
+    else if (keys.argKey != nullptr)
+        p = put(p, arg[std::min<std::size_t>(e.arg, arg.size() - 1)]);
+    if (!f.value[k].empty())
+        p = putNumber(put(p, f.value[k]), e.value);
+    *p++ = '}';
+    return p;
 }
 
 /** chrome://tracing tid for an event (one lane per pipeline). */
@@ -200,28 +309,29 @@ parseSinkFormat(const std::string& name, SinkFormat& out)
 std::string
 eventToJson(SmId sm, const Event& e)
 {
-    std::string out;
-    appendEvent(out, sm, e);
-    return out;
+    char line[kMaxLine];
+    return std::string(line, formatEvent(line, sm, e));
 }
 
 void
 writeJsonl(std::ostream& os, const Collector& collector)
 {
-    os << "{\"meta\":" << codec::encode(collector.meta).dump() << "}\n";
-    std::string line;
+    BlockWriter out(os);
+    out.append("{\"meta\":" + codec::encode(collector.meta).dump() + "}\n");
     for (SmId s = 0; s < collector.numSms(); ++s) {
         const Recorder* r = collector.recorder(s);
         if (!r)
             continue;
-        if (r->overwritten() > 0)
-            os << "{\"sm\":" << s << ",\"truncated\":" << r->overwritten()
-               << "}\n";
+        if (r->overwritten() > 0) {
+            char* p = out.line();
+            p = putNumber(put(p, "{\"sm\":"), s);
+            p = putNumber(put(p, ",\"truncated\":"), r->overwritten());
+            out.commit(put(p, "}\n"));
+        }
         r->forEach([&](const Event& e) {
-            line.clear();
-            appendEvent(line, s, e);
-            line += '\n';
-            os << line;
+            char* p = formatEvent(out.line(), s, e);
+            *p++ = '\n';
+            out.commit(p);
         });
     }
 }
@@ -343,42 +453,38 @@ parseJsonlRecord(const std::string& line, JsonlRecord& out,
 void
 writeChromeTrace(std::ostream& os, const Collector& collector)
 {
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    auto emit = [&os, &first](const std::string& obj) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << obj;
-    };
-
+    BlockWriter out(os);
+    out.append("{\"traceEvents\":[");
+    const char* sep = "";
     for (SmId s = 0; s < collector.numSms(); ++s) {
         const Recorder* r = collector.recorder(s);
         if (!r)
             continue;
-        {
-            std::ostringstream m;
-            m << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << s
-              << ",\"args\":{\"name\":\"SM " << s << "\"}}";
-            emit(m.str());
-        }
-        for (unsigned tid : {0u, 1u, 2u, 3u, 4u, 5u, 8u}) {
-            std::ostringstream m;
-            m << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << s
-              << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-              << chromeTidName(tid) << "\"}}";
-            emit(m.str());
-        }
+        const std::string sm = std::to_string(s);
+        out.append(sep + std::string("{\"name\":\"process_name\",\"ph\":"
+                                      "\"M\",\"pid\":") +
+                   sm + ",\"args\":{\"name\":\"SM " + sm + "\"}}");
+        sep = ",\n";
+        for (unsigned tid : {0u, 1u, 2u, 3u, 4u, 5u, 8u})
+            out.append(sep + std::string("{\"name\":\"thread_name\",\"ph\":"
+                                          "\"M\",\"pid\":") +
+                       sm + ",\"tid\":" + std::to_string(tid) +
+                       ",\"args\":{\"name\":\"" + chromeTidName(tid) +
+                       "\"}}");
         r->forEach([&](const Event& e) {
-            std::ostringstream ev;
-            ev << "{\"name\":\"" << eventKindName(e.kind)
-               << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << e.cycle
-               << ",\"pid\":" << s << ",\"tid\":" << chromeTid(e)
-               << ",\"args\":{\"detail\":" << eventToJson(s, e) << "}}";
-            emit(ev.str());
+            char* p = out.line();
+            p = put(p, ",\n{\"name\":\"");
+            p = put(p, eventKindName(e.kind));
+            p = put(p, "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+            p = putNumber(p, e.cycle);
+            p = putNumber(put(p, ",\"pid\":"), s);
+            p = putNumber(put(p, ",\"tid\":"), chromeTid(e));
+            p = put(p, ",\"args\":{\"detail\":");
+            p = formatEvent(p, s, e);
+            out.commit(put(p, "}}"));
         });
     }
-    os << "],\"displayTimeUnit\":\"ns\"}\n";
+    out.append("],\"displayTimeUnit\":\"ns\"}\n");
 }
 
 void

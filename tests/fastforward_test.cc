@@ -52,14 +52,15 @@ profile(const char* name, int kernel_length = 400, int warps = 16)
 void
 expectFastForwardIdentical(const GpuConfig& reference_config,
                            const BenchmarkProfile& p,
-                           ThreadPool* pool = nullptr)
+                           ThreadPool* pool = nullptr,
+                           const trace::RecorderConfig& ring = {})
 {
     GpuConfig ff_config = reference_config;
     ff_config.sm.fastForward = true;
     GpuConfig ref_config = reference_config;
     ref_config.sm.fastForward = false;
 
-    trace::Collector ref_trace, ff_trace;
+    trace::Collector ref_trace(ring), ff_trace(ring);
     metrics::Collector ref_metrics, ff_metrics;
     SimResult ref =
         Gpu(ref_config).run(p, pool, &ref_trace, &ref_metrics);
@@ -170,6 +171,52 @@ TEST(FastForward, EngagesOnMemoryBoundWorkload)
     EXPECT_GT(sm.ffSkippedCycles(), 0u);
     EXPECT_GT(sm.ffSpans(), 0u);
     EXPECT_GE(sm.ffSkippedCycles(), sm.ffSpans());
+}
+
+TEST(FastForward, WrappedRingBitIdentical)
+{
+    // A ring that wraps mid-run, inside replayed MSHR-reject spans and
+    // GATES blackout flip-flops: the retained window and the loss
+    // count must match the stepped path too.
+    trace::RecorderConfig ring;
+    ring.capacity = 4096;
+    for (const char* bench : {"nw", "bfs"}) {
+        for (Technique t : {Technique::WarpedGates, Technique::Gates}) {
+            SCOPED_TRACE(std::string(bench) + " " + techniqueName(t));
+            expectFastForwardIdentical(ffConfig(t, true),
+                                       findBenchmark(bench), nullptr, ring);
+        }
+    }
+}
+
+TEST(FastForward, TracedSkipsLikeUntraced)
+{
+    // A recorder must not cost fast-forward any span: traced runs
+    // replay MSHR rejects, GATES' blackout flip-flop switches and the
+    // LD/ST idle run instead of stepping them. Full-length nw and bfs
+    // stall on a full MSHR pool and (under GATES and WarpedGates) hit
+    // the flip-flop inside spans.
+    for (const char* bench : {"nw", "bfs"}) {
+        for (Technique t : {Technique::WarpedGates, Technique::Gates}) {
+            SCOPED_TRACE(std::string(bench) + " " + techniqueName(t));
+            GpuConfig config = ffConfig(t, true, 1);
+            ProgramGenerator gen(config.seed);
+            const std::vector<Program> programs =
+                gen.generateSm(findBenchmark(bench), 0);
+            Sm untraced(config.sm, programs, Gpu::smSeed(config.seed, 0));
+            untraced.run();
+            trace::Recorder rec(0, 4096);
+            Sm traced(config.sm, programs, Gpu::smSeed(config.seed, 0),
+                      &rec);
+            traced.run();
+
+            EXPECT_GT(untraced.ffSpans(), 0u);
+            EXPECT_EQ(traced.ffSkippedCycles(), untraced.ffSkippedCycles());
+            EXPECT_EQ(traced.ffSpans(), untraced.ffSpans());
+            EXPECT_GT(traced.stats().mshrRejects, 0u);
+            EXPECT_GT(traced.stats().prioritySwitches, 0u);
+        }
+    }
 }
 
 TEST(FastForward, DisabledNeverSkips)

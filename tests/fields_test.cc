@@ -277,6 +277,63 @@ TEST(SmSnapshotFieldList, OptionalSectionsFollowTheirFlags)
     EXPECT_EQ(codec::encode(back).dump(), j.dump());
 }
 
+/** Decode `{"cycle":<lexeme>}` into a trace event's 64-bit cycle. */
+bool
+decodeCycle(const std::string& lexeme, std::uint64_t& cycle,
+            std::string& error)
+{
+    Json doc;
+    EXPECT_TRUE(Json::parse("{\"cycle\":" + lexeme + "}", doc, error))
+        << error;
+    const std::string root = "$";
+    return codec::decodeMember(doc, codec::JsonPath(root), "cycle", cycle,
+                               error);
+}
+
+TEST(CodecUnsigned, AcceptsPlainDigitsUpTo64Bits)
+{
+    std::uint64_t cycle = 0;
+    std::string error;
+    ASSERT_TRUE(decodeCycle("0", cycle, error)) << error;
+    EXPECT_EQ(cycle, 0u);
+    ASSERT_TRUE(decodeCycle("18446744073709551615", cycle, error)) << error;
+    EXPECT_EQ(cycle, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CodecUnsigned, RejectsFractionsAndExponents)
+{
+    // Each once read as a truncated or scaled integer (5, 1000, ...).
+    for (const char* lexeme : {"5.5", "5.0", "1e3", "1E3", "2.5e1", "1e-2"}) {
+        std::uint64_t cycle = 0;
+        std::string error;
+        EXPECT_FALSE(decodeCycle(lexeme, cycle, error)) << lexeme;
+        EXPECT_EQ(error, "$.cycle: expected an unsigned integer") << lexeme;
+    }
+}
+
+TEST(CodecUnsigned, Rejects64BitOverflow)
+{
+    // Once clamped to 2^64 - 1.
+    for (const char* lexeme :
+         {"18446744073709551616", "99999999999999999999999"}) {
+        std::uint64_t cycle = 0;
+        std::string error;
+        EXPECT_FALSE(decodeCycle(lexeme, cycle, error)) << lexeme;
+        EXPECT_EQ(error, "$.cycle: out of range") << lexeme;
+    }
+}
+
+TEST(CodecUnsigned, NarrowMembersRejectFractionsToo)
+{
+    // The integer check runs before the width check, for every width.
+    Json j = codec::encode(trace::Event{});
+    j.set("cluster", Json::number(1.5));
+    trace::Event out;
+    std::string error;
+    EXPECT_FALSE(codec::decode(j, "$", out, error));
+    EXPECT_EQ(error, "$.cluster: expected an unsigned integer");
+}
+
 TEST(TraceEventFieldList, UnknownKindIsRejected)
 {
     Json j = codec::encode(trace::Event{});

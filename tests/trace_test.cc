@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -394,6 +397,11 @@ TEST(JsonlReader, RejectsOutOfRangeAndUnexpectedMembers)
         R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":0,"warp":-1})",
         R"({"sm":0,"cycle":5,"kind":"epoch-update","unit":"INT","criticals":256,"window":8})",
         R"({"sm":0,"truncated":-1})",
+        // Values a lenient codec truncated, scaled or clamped.
+        R"({"sm":0,"cycle":1.5,"kind":"unit-idle"})",
+        R"({"sm":0,"cycle":1e3,"kind":"unit-idle"})",
+        R"({"sm":0,"cycle":18446744073709551616,"kind":"unit-idle"})",
+        R"({"sm":0,"truncated":2.0})",
         // Missing, misplaced or extra members.
         R"({"sm":0,"cycle":5,"kind":"issue","unit":"INT","cluster":0})",
         R"({"sm":0,"cycle":5,"kind":"unit-idle","warp":1})",
@@ -435,6 +443,104 @@ TEST(JsonlReader, MetaLineNeedsEveryKey)
     EXPECT_NE(error.find("gateSfu"), std::string::npos) << error;
     EXPECT_FALSE(trace::parseJsonlMeta(
         R"({"sm":0,"cycle":5,"kind":"unit-idle"})", meta, error));
+}
+
+// ---- JSONL golden ----
+
+/**
+ * One small traced run rendered as JSONL: two SMs, a short kernel, a
+ * small MSHR pool (so reject stalls reach the retained tail) and a
+ * ring small enough to wrap.
+ */
+std::string
+goldenRun(GpuConfig config)
+{
+    config.numSms = 2;
+    config.sm.mem.mshrLimit = 8;
+    BenchmarkProfile p = findBenchmark("hotspot");
+    p.kernelLength = 400;
+    p.residentWarps = 24;
+    trace::RecorderConfig cfg;
+    cfg.capacity = 300;
+    trace::Collector collector(cfg);
+    Gpu(config).run(p, nullptr, &collector);
+    std::ostringstream os;
+    trace::writeJsonl(os, collector);
+    return os.str();
+}
+
+/**
+ * The bytes of tests/golden/trace_jsonl_v1.jsonl: two complete JSONL
+ * traces back to back. WarpedGates (GATES scheduler, coordinated
+ * blackout, adaptive window) records priority switches and
+ * coordinated-drain gates; GTO over conventional INT/FP/SFU gating
+ * records greedy switches and uncompensated wakeups.
+ */
+std::string
+goldenTraces()
+{
+    GpuConfig gto = makeConfig(Technique::ConvPG);
+    gto.sm.scheduler = SchedulerPolicy::Gto;
+    gto.sm.pg.gateSfu = true;
+    return goldenRun(makeConfig(Technique::WarpedGates)) + goldenRun(gto);
+}
+
+TEST(JsonlGolden, WriterBytesMatchTheGolden)
+{
+    const std::string path =
+        std::string(WG_GOLDEN_DIR) + "/trace_jsonl_v1.jsonl";
+    const std::string actual = goldenTraces();
+    if (std::getenv("WG_REGEN_GOLDEN") != nullptr)
+        std::ofstream(path) << actual;
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path
+                           << " (run with WG_REGEN_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_TRUE(golden.str() == actual)
+        << "JSONL writer bytes differ from " << path;
+
+    // The golden pins the writer only if it exercises every branch of
+    // it: each event kind, each reason/location name, a wrap marker.
+    std::set<std::string> seen;
+    std::size_t markers = 0, metas = 0;
+    for (const std::string& line : splitLines(actual)) {
+        trace::JsonlRecord rec;
+        trace::Meta meta;
+        std::string error;
+        if (trace::parseJsonlMeta(line, meta, error)) {
+            ++metas;
+            continue;
+        }
+        ASSERT_TRUE(trace::parseJsonlRecord(line, rec, error))
+            << line << ": " << error;
+        if (rec.marker) {
+            ++markers;
+            continue;
+        }
+        const trace::Event& e = rec.event;
+        seen.insert(trace::eventKindName(e.kind));
+        if (e.kind == EventKind::Gate)
+            seen.insert(trace::gateReasonName(
+                static_cast<trace::GateReason>(e.arg)));
+        if (e.kind == EventKind::Wakeup)
+            seen.insert(trace::wakeReasonName(
+                static_cast<trace::WakeReason>(e.arg)));
+        if (e.kind == EventKind::WarpMigrate)
+            seen.insert("loc" + std::to_string(e.arg));
+    }
+    EXPECT_EQ(metas, 2u);
+    EXPECT_GT(markers, 0u) << "the rings must wrap";
+    std::set<std::string> want = {"loc0", "loc1", "loc2", "loc3"};
+    for (std::size_t k = 0; k < trace::kNumEventKinds; ++k)
+        want.insert(trace::eventKindName(static_cast<EventKind>(k)));
+    for (std::size_t r = 0; r < trace::kNumGateReasons; ++r)
+        want.insert(
+            trace::gateReasonName(static_cast<trace::GateReason>(r)));
+    for (std::size_t r = 0; r < trace::kNumWakeReasons; ++r)
+        want.insert(
+            trace::wakeReasonName(static_cast<trace::WakeReason>(r)));
+    EXPECT_EQ(seen, want);
 }
 
 TEST(Event, KindNamesRoundTrip)
