@@ -102,8 +102,12 @@ ExperimentRunner::runInternal(
     auto [it, inserted] = cache_.try_emplace(k);
     CacheEntry& entry = it->second;
     if (!inserted) {
-        // Single-flight: the owner computes on its own thread (never
-        // parked in a pool queue), so waiting here cannot deadlock.
+        // Single-flight: block until the owner publishes the entry.
+        // This deadlocks if the owner's own thread gets here: the
+        // owner's Gpu::run waits on its per-SM jobs with
+        // ThreadPool::wait, which help-runs other queued pool tasks,
+        // and a helped task that asks for this same key parks here
+        // above the frame that would set the entry ready.
         // The entry reference stays valid while we wait: in-flight and
         // waited-on entries are never evicted (map nodes are stable).
         ++stats_.hits;
@@ -130,13 +134,8 @@ ExperimentRunner::runInternal(
     const BenchmarkProfile& profile = findBenchmark(bench);
     Gpu gpu(makeConfig(t, opts));
     // Metering is passive: the sampler only reads counters, so the
-    // SimResult is bit-identical with or without the collector. The
-    // stream sink exercises the live SPSC path; buildSeries() merges
-    // it SM-major at this cell boundary.
-    metrics::EpochStreamSink sink;
+    // SimResult is bit-identical with or without the collector.
     metrics::Collector collector;
-    if (meter)
-        collector.attachSink(&sink);
     SimResult result =
         gpu.run(profile, pool_, nullptr, meter ? &collector : nullptr);
     std::shared_ptr<const metrics::EpochSeries> series;
@@ -266,29 +265,6 @@ ExperimentRunner::runAll(const SweepSpec& spec)
             }));
     for (std::size_t i = 0; i < futures.size(); ++i)
         out[i] = pool_->wait(futures[i]);
-    return out;
-}
-
-std::vector<std::shared_ptr<const SimResult>>
-ExperimentRunner::runAllShared(const SweepSpec& spec)
-{
-    std::vector<std::shared_ptr<const SimResult>> out;
-    out.reserve(spec.benches.size() * spec.techniques.size());
-    if (pool_ == nullptr) {
-        for (const std::string& bench : spec.benches)
-            for (Technique t : spec.techniques)
-                out.push_back(runShared(bench, t, spec.options));
-        return out;
-    }
-    std::vector<std::future<std::shared_ptr<const SimResult>>> futures;
-    futures.reserve(spec.benches.size() * spec.techniques.size());
-    for (const std::string& bench : spec.benches)
-        for (Technique t : spec.techniques)
-            futures.push_back(pool_->submit([this, bench, t, &spec] {
-                return runShared(bench, t, spec.options);
-            }));
-    for (auto& f : futures)
-        out.push_back(pool_->wait(f));
     return out;
 }
 

@@ -125,13 +125,14 @@ class ExperimentRunner
                   std::nullopt);
 
     /**
-     * runShared() with an attached metrics::Collector (streamed
-     * through an EpochStreamSink, merged SM-major at the cell
-     * boundary), so the caller also gets the cell's epoch time-series.
-     * Metering is passive — the SimResult is bit-identical to an
-     * unmetered run — and the series is cached with the result, so a
-     * cache hit returns the series without re-running. The series is
-     * null only when the entry was first computed unmetered.
+     * runShared() with an attached metrics::Collector, so the caller
+     * also gets the cell's epoch time-series: the samplers' vectors,
+     * copied SM-major at the cell boundary. That copy is the only one;
+     * it is cached with the result and shared by every reader, so a
+     * cache hit returns the series without re-running. Metering is
+     * passive — the SimResult is bit-identical to an unmetered run.
+     * The series is null only when the entry was first computed
+     * unmetered.
      */
     MeteredResult
     runMetered(const std::string& bench, Technique t,
@@ -145,10 +146,6 @@ class ExperimentRunner
      * rest run as parallel pool jobs.
      */
     std::vector<const SimResult*> runAll(const SweepSpec& spec);
-
-    /** runAll() with shared ownership (see runShared()). */
-    std::vector<std::shared_ptr<const SimResult>>
-    runAllShared(const SweepSpec& spec);
 
     /**
      * Seed the cache with an externally computed result — the

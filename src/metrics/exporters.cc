@@ -117,8 +117,7 @@ constexpr HelpEntry kHelpCatalogue[] = {
      "wgservd job-latency summaries in seconds (full histograms on"
      " the /metrics exposition)"},
     {"serve.subscriptions.",
-     "live-stream subscription counters (active, opened, dropped"
-     " frames)"},
+     "live-stream subscription counters (active, opened)"},
     {"serve.",
      "wgservd job-manager gauges (queue, jobs, cells, result cache)"},
     {"pool.",

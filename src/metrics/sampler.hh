@@ -23,7 +23,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -140,141 +139,6 @@ struct SamplerState
 };
 
 /**
- * Bounded single-producer/single-consumer ring. The producer is one SM
- * job thread, the consumer is whoever merges the stream; the two never
- * block each other. Capacity rounds up to a power of two.
- */
-template <typename T>
-class SpscRing
-{
-  public:
-    explicit SpscRing(std::size_t capacity)
-    {
-        std::size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        slots_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    /** Producer side; false (and no write) when the ring is full. */
-    bool
-    tryPush(const T& v)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t head = head_.load(std::memory_order_acquire);
-        if (tail - head > mask_)
-            return false;
-        slots_[tail & mask_] = v;
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Consumer side; false when the ring is empty. */
-    bool
-    tryPop(T& out)
-    {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t tail = tail_.load(std::memory_order_acquire);
-        if (head == tail)
-            return false;
-        out = slots_[head & mask_];
-        head_.store(head + 1, std::memory_order_release);
-        return true;
-    }
-
-  private:
-    std::vector<T> slots_;
-    std::size_t mask_ = 0;
-    std::atomic<std::size_t> head_{0};
-    std::atomic<std::size_t> tail_{0};
-};
-
-/**
- * Streaming transport between the per-SM samplers and a merger: one
- * SPSC ring per SM, pushed from the SM's job thread as each epoch
- * closes and drained in SM order at the cell boundary. A full ring
- * never blocks the simulation — the push is dropped and counted, and
- * the merger falls back to the sampler's retained vector, which stays
- * authoritative. The streamed series is therefore always bit-identical
- * to the offline one regardless of ring pressure.
- */
-class EpochStreamSink
-{
-  public:
-    explicit EpochStreamSink(std::size_t ring_capacity = 4096)
-        : ring_capacity_(ring_capacity ? ring_capacity : 1)
-    {
-    }
-
-    /** Create one empty ring per SM. Not thread-safe. */
-    void
-    prepare(std::uint32_t num_sms)
-    {
-        lanes_.clear();
-        lanes_.reserve(num_sms);
-        for (std::uint32_t s = 0; s < num_sms; ++s)
-            lanes_.push_back(std::make_unique<Lane>(ring_capacity_));
-    }
-
-    std::uint32_t
-    numSms() const
-    {
-        return static_cast<std::uint32_t>(lanes_.size());
-    }
-
-    /** Producer side (SM job thread); drops-and-counts when full. */
-    void
-    push(SmId sm, const EpochSample& s)
-    {
-        if (sm >= lanes_.size())
-            return;
-        Lane& lane = *lanes_[sm];
-        if (!lane.ring.tryPush(s))
-            lane.overflow.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Consumer side; pops the oldest undelivered sample of @p sm. */
-    bool
-    pop(SmId sm, EpochSample& out)
-    {
-        if (sm >= lanes_.size())
-            return false;
-        return lanes_[sm]->ring.tryPop(out);
-    }
-
-    /** Samples dropped on push across all SMs. */
-    std::uint64_t
-    overflows() const
-    {
-        std::uint64_t n = 0;
-        for (const auto& lane : lanes_)
-            n += lane->overflow.load(std::memory_order_relaxed);
-        return n;
-    }
-
-    /** Samples dropped on push for one SM. */
-    std::uint64_t
-    overflows(SmId sm) const
-    {
-        if (sm >= lanes_.size())
-            return 0;
-        return lanes_[sm]->overflow.load(std::memory_order_relaxed);
-    }
-
-  private:
-    struct Lane
-    {
-        explicit Lane(std::size_t capacity) : ring(capacity) {}
-        SpscRing<EpochSample> ring;
-        std::atomic<std::uint64_t> overflow{0};
-    };
-
-    std::size_t ring_capacity_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
-/**
  * Per-SM epoch time-series. The SM calls sample() whenever the epoch
  * clock rolls over (the same (now+1) % epochLength == 0 boundary
  * PgController uses for adaptive idle detect) and finalize() once at
@@ -283,10 +147,8 @@ class EpochStreamSink
 class EpochSampler
 {
   public:
-    EpochSampler(SmId sm, Cycle epoch_length,
-                 EpochStreamSink* sink = nullptr)
-        : sm_(sm), epoch_length_(epoch_length ? epoch_length : 1),
-          sink_(sink)
+    EpochSampler(SmId sm, Cycle epoch_length)
+        : sm_(sm), epoch_length_(epoch_length ? epoch_length : 1)
     {
     }
 
@@ -303,8 +165,6 @@ class EpochSampler
         s.cycles = cycle_end - last_cycle_;
         s.delta = deltaFields(cum, prev_);
         samples_.push_back(s);
-        if (sink_ != nullptr)
-            sink_->push(sm_, s);
         prev_ = cum;
         last_cycle_ = cycle_end;
     }
@@ -334,11 +194,7 @@ class EpochSampler
         return s;
     }
 
-    /**
-     * Rebuild the sampler from a checkpoint. Restored samples are NOT
-     * replayed into an attached stream sink — a resumed run streams
-     * only the epochs it simulates itself.
-     */
+    /** Rebuild the sampler from a checkpoint. */
     void
     restoreState(const SamplerState& s)
     {
@@ -350,7 +206,6 @@ class EpochSampler
   private:
     SmId sm_;
     Cycle epoch_length_;
-    EpochStreamSink* sink_;
     Cycle last_cycle_ = 0;
     EpochCounters prev_;
     std::vector<EpochSample> samples_;
@@ -373,16 +228,6 @@ class Collector
     {
     }
 
-    /**
-     * Route every sampled epoch into @p sink as well as the retained
-     * per-SM vectors. Must be called before prepare(); the sink must
-     * outlive the run.
-     */
-    void attachSink(EpochStreamSink* sink) { sink_ = sink; }
-
-    /** The attached streaming sink, or null. */
-    EpochStreamSink* sink() const { return sink_; }
-
     /** Create (or re-create) one sampler per SM. Not thread-safe. */
     void
     prepare(std::uint32_t num_sms, Cycle config_epoch_length)
@@ -391,13 +236,11 @@ class Collector
                                         : config_epoch_length;
         if (epoch_length_ == 0)
             epoch_length_ = 1000;
-        if (sink_ != nullptr)
-            sink_->prepare(num_sms);
         samplers_.clear();
         samplers_.reserve(num_sms);
         for (std::uint32_t s = 0; s < num_sms; ++s)
             samplers_.push_back(
-                std::make_unique<EpochSampler>(s, epoch_length_, sink_));
+                std::make_unique<EpochSampler>(s, epoch_length_));
     }
 
     /** Sampler of @p sm, or null when not prepared. */
@@ -443,7 +286,6 @@ class Collector
   private:
     Cycle epoch_override_;
     Cycle epoch_length_ = 0;
-    EpochStreamSink* sink_ = nullptr;
     std::vector<std::unique_ptr<EpochSampler>> samplers_;
 };
 
@@ -457,7 +299,6 @@ struct EpochSeries
 {
     Cycle epochLength = 0;
     std::vector<std::vector<EpochSample>> perSm; ///< SM-major
-    std::uint64_t ringOverflows = 0; ///< pushes the stream rings missed
 
     std::uint32_t
     numSms() const
@@ -476,34 +317,17 @@ struct EpochSeries
 };
 
 /**
- * Merge a finished run's stream into an EpochSeries, SM-major. Call
- * after every SM job has completed (the cell boundary). When the
- * collector carries a stream sink the samples are drained from its
- * rings; a lane that overflowed (or drained short) is rebuilt from the
- * sampler's retained vector, so the result is bit-identical either
- * way and ringOverflows records how often the fallback fired.
+ * Copy a finished run's per-SM sample vectors into an EpochSeries,
+ * SM-major. Call after every SM job has completed (the cell boundary).
  */
 inline EpochSeries
 buildSeries(const Collector& collector)
 {
     EpochSeries series;
     series.epochLength = collector.epochLength();
-    series.perSm.resize(collector.numSms());
-    EpochStreamSink* sink = collector.sink();
-    for (std::uint32_t s = 0; s < collector.numSms(); ++s) {
-        const EpochSampler* sampler = collector.sampler(s);
-        std::vector<EpochSample>& out = series.perSm[s];
-        if (sink != nullptr) {
-            EpochSample sample;
-            while (sink->pop(s, sample))
-                out.push_back(sample);
-            const std::uint64_t missed = sink->overflows(s);
-            if (missed == 0 && out.size() == sampler->samples().size())
-                continue;
-            series.ringOverflows += missed ? missed : 1;
-        }
-        out = sampler->samples();
-    }
+    series.perSm.reserve(collector.numSms());
+    for (std::uint32_t s = 0; s < collector.numSms(); ++s)
+        series.perSm.push_back(collector.sampler(s)->samples());
     return series;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <set>
 
 #include "metrics/registry.hh"
@@ -12,6 +13,13 @@
 namespace wg::serve {
 
 namespace {
+
+bool
+isTerminal(JobState state)
+{
+    return state == JobState::Done || state == JobState::Cancelled ||
+           state == JobState::Failed;
+}
 
 /** Elapsed seconds between two monotonic samples (serve-side only). */
 double
@@ -59,7 +67,6 @@ JobManager::~JobManager()
                 job->state = JobState::Cancelled;
                 --queued_;
                 ++cancelled_;
-                finishSubscribersLocked(*job);
             }
         }
         dispatch_cv_.notifyAll();
@@ -316,7 +323,6 @@ JobManager::cancel(const std::string& id, std::string& error)
         --queued_;
         ++cancelled_;
         recordLatenciesLocked(job);
-        finishSubscribersLocked(job);
         logEvent(EventLog::Level::Info, "jobCancelled", {{"id", id}});
         idle_cv_.notifyAll();
         return true;
@@ -411,8 +417,6 @@ JobManager::publishStats(StatSet& set) const
             static_cast<double>(subsOpened_));
     set.set("serve.subscriptions.active",
             static_cast<double>(subsOpened_ - subsClosed_));
-    set.set("serve.subscriptions.droppedFrames",
-            static_cast<double>(droppedFramesTotal_));
     // Scalar latency summaries; the OpenMetrics exposition carries the
     // full histograms via latencySnapshot().
     set.set("serve.latency.admissionWait.count",
@@ -511,7 +515,6 @@ JobManager::runJob(std::shared_ptr<Job> job)
 {
     std::string failure;
     bool cancelled = false;
-    std::size_t cellIndex = 0;
     try {
         for (const std::string& bench : job->spec.benches) {
             for (Technique t : job->spec.techniques) {
@@ -524,19 +527,11 @@ JobManager::runJob(std::shared_ptr<Job> job)
                 }
                 MeteredResult r = runner_.runMetered(
                     bench, t, job->spec.options);
-                // Frame bytes are built outside the lock; only the
-                // publication (log append + fan-out) is serialised.
-                StatSet registry = metrics::toStatSet(*r.result);
-                std::vector<std::string> frames = stream::cellFrames(
-                    job->id, cellIndex, bench, techniqueName(t),
-                    r.series.get(), registry);
                 MutexLock lock(mu_);
-                job->cells.push_back(JobCell{bench, t, r.result});
+                job->cells.push_back(
+                    JobCell{bench, t, r.result, r.series});
                 ++job->completedCells;
                 ++cellsCompleted_;
-                publishFramesLocked(*job, frames);
-                publishProgressLocked(*job);
-                ++cellIndex;
             }
             if (cancelled)
                 break;
@@ -557,7 +552,6 @@ JobManager::runJob(std::shared_ptr<Job> job)
         ++completed_;
     }
     recordLatenciesLocked(*job);
-    finishSubscribersLocked(*job);
     logEvent(EventLog::Level::Info, "jobFinished",
              {{"id", job->id},
               {"state", jobStateName(job->state)},
@@ -576,31 +570,15 @@ JobManager::subscribe(const std::string& id, std::string& error)
         error = "unknown job '" + id + "'";
         return nullptr;
     }
-    Job& job = *it->second;
     auto sub = std::make_shared<Subscription>();
     sub->jobId = id;
+    sub->job = it->second;
     ++subsOpened_;
-    // Replay the published log so a late subscriber sees the identical
-    // byte stream a prompt one did.
-    for (const std::string& frame : job.frameLog)
-        enqueueFrameLocked(*sub, frame, /*force=*/false);
-    const std::size_t total =
-        job.spec.benches.size() * job.spec.techniques.size();
-    enqueueFrameLocked(*sub,
-                       stream::progressFrame(job.id, job.completedCells,
-                                             total, etaMsLocked(job)),
-                       /*force=*/false);
-    if (job.state == JobState::Done ||
-        job.state == JobState::Cancelled ||
-        job.state == JobState::Failed) {
-        enqueueFrameLocked(*sub,
-                           stream::resultFrame(job.id,
-                                               jobStateName(job.state),
-                                               job.error, sub->dropped),
-                           /*force=*/true);
-        sub->terminal = true;
-    } else {
-        job.subscribers.push_back(sub);
+    // A cursor that starts caught up owes its progress frame now, so a
+    // prompt subscriber sees the job's state at subscribe time.
+    if (it->second->cells.empty()) {
+        std::optional<JobCell> none;
+        advanceLocked(*sub, none);
     }
     logEvent(EventLog::Level::Debug, "subscribed", {{"id", id}});
     return sub;
@@ -616,32 +594,67 @@ JobManager::unsubscribe(const std::shared_ptr<Subscription>& sub)
         return;
     sub->closed = true;
     ++subsClosed_;
-    auto it = jobs_.find(sub->jobId);
-    if (it != jobs_.end()) {
-        auto& subs = it->second->subscribers;
-        subs.erase(std::remove(subs.begin(), subs.end(), sub),
-                   subs.end());
-    }
     logEvent(EventLog::Level::Debug, "unsubscribed",
              {{"id", sub->jobId}});
 }
 
 bool
+JobManager::advanceLocked(Subscription& sub,
+                          std::optional<JobCell>& cell)
+{
+    const Job& job = *sub.job;
+    if (sub.nextCell < job.cells.size()) {
+        cell = job.cells[sub.nextCell++];
+        sub.progressDue = true;
+        return true;
+    }
+    if (sub.progressDue) {
+        const std::size_t total =
+            job.spec.benches.size() * job.spec.techniques.size();
+        sub.frames.push_back(stream::progressFrame(
+            job.id, job.completedCells, total, etaMsLocked(job)));
+        sub.progressDue = false;
+        return true;
+    }
+    if (!isTerminal(job.state))
+        return false;
+    sub.frames.push_back(
+        stream::resultFrame(job.id, jobStateName(job.state), job.error));
+    sub.terminal = true;
+    return true;
+}
+
+bool
 JobManager::nextFrame(Subscription& sub, std::string& out)
 {
-    MutexLock lock(mu_);
-    if (sub.queue.empty())
-        return false;
-    out = std::move(sub.queue.front());
-    sub.queue.pop_front();
+    while (sub.frames.empty()) {
+        if (sub.terminal)
+            return false;
+        std::optional<JobCell> cell;
+        {
+            MutexLock lock(mu_);
+            if (!advanceLocked(sub, cell))
+                return false;
+        }
+        if (!cell)
+            continue;
+        // The frame builders are pure: render outside the lock.
+        std::vector<std::string> frames = stream::cellFrames(
+            sub.jobId, sub.nextCell - 1, cell->bench,
+            techniqueName(cell->technique), cell->series.get(),
+            metrics::toStatSet(*cell->result));
+        sub.frames.assign(std::make_move_iterator(frames.begin()),
+                          std::make_move_iterator(frames.end()));
+    }
+    out = std::move(sub.frames.front());
+    sub.frames.pop_front();
     return true;
 }
 
 bool
 JobManager::subscriptionDone(const Subscription& sub) const
 {
-    MutexLock lock(mu_);
-    return sub.terminal && sub.queue.empty();
+    return sub.terminal && sub.frames.empty();
 }
 
 LatencySnapshot
@@ -653,58 +666,6 @@ JobManager::latencySnapshot() const
     snap.runDuration = runDuration_;
     snap.endToEnd = endToEnd_;
     return snap;
-}
-
-void
-JobManager::enqueueFrameLocked(Subscription& sub,
-                               const std::string& frame, bool force)
-{
-    if (sub.closed)
-        return;
-    if (!force && sub.queue.size() >= config_.subscriberQueueCap) {
-        ++sub.dropped;
-        ++droppedFramesTotal_;
-        return;
-    }
-    sub.queue.push_back(frame);
-}
-
-void
-JobManager::publishFramesLocked(Job& job,
-                                const std::vector<std::string>& frames)
-{
-    for (const std::string& frame : frames)
-        job.frameLog.push_back(frame);
-    for (const auto& sub : job.subscribers)
-        for (const std::string& frame : frames)
-            enqueueFrameLocked(*sub, frame, /*force=*/false);
-}
-
-void
-JobManager::publishProgressLocked(Job& job)
-{
-    if (job.subscribers.empty())
-        return;
-    const std::size_t total =
-        job.spec.benches.size() * job.spec.techniques.size();
-    const std::string frame = stream::progressFrame(
-        job.id, job.completedCells, total, etaMsLocked(job));
-    for (const auto& sub : job.subscribers)
-        enqueueFrameLocked(*sub, frame, /*force=*/false);
-}
-
-void
-JobManager::finishSubscribersLocked(Job& job)
-{
-    for (const auto& sub : job.subscribers) {
-        enqueueFrameLocked(*sub,
-                           stream::resultFrame(job.id,
-                                               jobStateName(job.state),
-                                               job.error, sub->dropped),
-                           /*force=*/true);
-        sub->terminal = true;
-    }
-    job.subscribers.clear();
 }
 
 double

@@ -18,6 +18,12 @@
  * A queued job cancels immediately; a running job stops at the next
  * cell boundary (cells already computed stay cached).
  *
+ * Each completed cell keeps its result and its epoch series (the
+ * runner's cached copy, shared). A subscription is a cursor over those
+ * cells: the reader renders a cell's frames when it reaches it, so
+ * nothing is rendered, logged or queued ahead of a reader and the
+ * publisher never waits on one.
+ *
  * drain() rejects new submissions and returns once every queued and
  * running job has finished — the daemon's SIGTERM path.
  */
@@ -63,15 +69,6 @@ struct JobConfig
     unsigned maxConcurrentJobs = 2;  ///< jobs dispatched at once
     unsigned numPriorities = 4;      ///< valid priorities: [0, n)
 
-    /**
-     * Per-subscriber frame-queue bound (slow-consumer policy): a
-     * subscriber whose connection cannot keep up accumulates at most
-     * this many undelivered frames; further frames are dropped and
-     * counted, and the terminal result frame is always delivered.
-     * The publisher never blocks on a subscriber.
-     */
-    std::size_t subscriberQueueCap = 65536;
-
     /** Structured event sink; null disables event logging. */
     EventLog* events = nullptr;
 };
@@ -82,6 +79,8 @@ struct JobCell
     std::string bench;
     Technique technique = Technique::Baseline;
     std::shared_ptr<const SimResult> result;
+    /** Epoch series; null when the cell was cached unmetered. */
+    std::shared_ptr<const metrics::EpochSeries> series;
 };
 
 /** Snapshot of one job's externally visible state. */
@@ -98,20 +97,7 @@ struct JobStatus
     std::string error;          ///< set when state == Failed
 };
 
-/**
- * One live frame stream. All state is guarded by the owning manager's
- * lock; the consumer (a connection thread) pulls with
- * JobManager::nextFrame() and the publisher (runJob) pushes without
- * ever blocking — a full queue drops the frame and counts it.
- */
-struct Subscription
-{
-    std::string jobId;
-    std::deque<std::string> queue; ///< frames awaiting delivery
-    std::uint64_t dropped = 0;     ///< frames lost to the queue cap
-    bool terminal = false; ///< result frame enqueued; stream is ending
-    bool closed = false;   ///< unsubscribed; publisher skips it
-};
+struct Subscription;
 
 /** Copies of the manager's latency histograms (for /metrics). */
 struct LatencySnapshot
@@ -214,11 +200,11 @@ class JobManager
     void publishStats(StatSet& set) const;
 
     /**
-     * Open a live frame stream on @p id. Frames already published
-     * (completed cells of a running job, or the whole log of a
-     * finished one) are replayed into the queue first, so a late
-     * subscriber sees the identical byte stream; a finished job's
-     * stream ends immediately with its terminal result frame.
+     * Open a frame stream on @p id: a cursor at the job's first cell.
+     * Every reader, prompt or late, gets each cell's meta/epoch/final
+     * frames in cell order, a progress frame whenever it catches up
+     * with the completed cells (including at subscribe time), and the
+     * result frame once the job is terminal and fully delivered.
      * @return null with @p error set for an unknown id.
      */
     std::shared_ptr<Subscription> subscribe(const std::string& id,
@@ -227,10 +213,14 @@ class JobManager
     /** Close a subscription (idempotent; null is a no-op). */
     void unsubscribe(const std::shared_ptr<Subscription>& sub);
 
-    /** Pop the next undelivered frame. @return false when empty. */
+    /**
+     * Deliver the next frame, rendering the next completed cell when
+     * the current one is used up. @return false when the cursor has
+     * caught up with the job and has nothing to deliver yet.
+     */
     bool nextFrame(Subscription& sub, std::string& out);
 
-    /** True once the terminal frame has been delivered (queue empty). */
+    /** True once the terminal result frame has been delivered. */
     bool subscriptionDone(const Subscription& sub) const;
 
     /** Latency histograms for the OpenMetrics exposition. */
@@ -247,6 +237,8 @@ class JobManager
     const JobConfig& config() const { return config_; }
 
   private:
+    friend struct Subscription;
+
     struct Job
     {
         std::string id;
@@ -261,15 +253,6 @@ class JobManager
         std::vector<JobCell> cells;
         std::string error;
 
-        /**
-         * Replayable stream frames (meta/epoch/final per completed
-         * cell, in publication order) so late subscribers get the
-         * identical bytes; progress/result frames are per-subscriber
-         * and never logged.
-         */
-        std::vector<std::string> frameLog;
-        std::vector<std::shared_ptr<Subscription>> subscribers;
-
         // Latency instrumentation (daemon self-observability only;
         // steady_clock in serve/ is lint-exempt by design).
         std::chrono::steady_clock::time_point submitTime{};
@@ -283,17 +266,14 @@ class JobManager
     void runJob(std::shared_ptr<Job> job);
     bool validateSpec(const SweepSpec& spec, std::string& error) const;
 
-    /** Push one frame into @p sub; @p force bypasses the queue cap. */
-    void enqueueFrameLocked(Subscription& sub, const std::string& frame,
-                            bool force) WG_REQUIRES(mu_);
-    /** Append @p frames to the job's log and fan out to subscribers. */
-    void publishFramesLocked(Job& job,
-                             const std::vector<std::string>& frames)
+    /**
+     * Advance @p sub's cursor by one step: copy the next completed
+     * cell into @p cell, or queue a progress frame when the cursor has
+     * just caught up, or the result frame once the job is terminal.
+     * @return false when there is nothing to deliver yet.
+     */
+    bool advanceLocked(Subscription& sub, std::optional<JobCell>& cell)
         WG_REQUIRES(mu_);
-    /** Fan a progress frame out to the job's subscribers. */
-    void publishProgressLocked(Job& job) WG_REQUIRES(mu_);
-    /** Enqueue the terminal result frame on every live subscriber. */
-    void finishSubscribersLocked(Job& job) WG_REQUIRES(mu_);
     /** Throughput-derived ETA in ms; < 0 when unknowable. */
     double etaMsLocked(const Job& job) const WG_REQUIRES(mu_);
     /** Record terminal-transition latencies for @p job. */
@@ -338,7 +318,6 @@ class JobManager
     // Subscription accounting.
     std::uint64_t subsOpened_ WG_GUARDED_BY(mu_) = 0;
     std::uint64_t subsClosed_ WG_GUARDED_BY(mu_) = 0;
-    std::uint64_t droppedFramesTotal_ WG_GUARDED_BY(mu_) = 0;
 
     // Latency histograms (seconds).
     LatencyHistogram admissionWait_ WG_GUARDED_BY(mu_);
@@ -346,6 +325,28 @@ class JobManager
     LatencyHistogram endToEnd_ WG_GUARDED_BY(mu_);
 
     std::thread dispatcher_;
+};
+
+/**
+ * One reader's cursor over a job's completed cells. The consumer (a
+ * connection thread) owns it and is its only user; it reads the job
+ * only through JobManager, under the manager's lock. The frames here
+ * belong to at most one rendered cell, plus the progress or result
+ * frame the cursor queued after it.
+ */
+struct Subscription
+{
+    std::string jobId;
+
+  private:
+    friend class JobManager;
+
+    std::shared_ptr<const JobManager::Job> job;
+    std::size_t nextCell = 0;       ///< next JobCell to render
+    std::deque<std::string> frames; ///< rendered, not yet delivered
+    bool progressDue = true; ///< owe a progress frame at catch-up
+    bool terminal = false;   ///< result frame queued; stream is ending
+    bool closed = false;     ///< unsubscribed
 };
 
 } // namespace wg::serve

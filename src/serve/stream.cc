@@ -89,7 +89,7 @@ progressFrame(const std::string& id, std::size_t completedCells,
 
 std::string
 resultFrame(const std::string& id, const char* state,
-            const std::string& error, std::uint64_t droppedFrames)
+            const std::string& error)
 {
     std::string out = framePrefix("result", id);
     out += ",\"state\":\"";
@@ -100,9 +100,7 @@ resultFrame(const std::string& id, const char* state,
         out += jsonEscape(error);
         out += '"';
     }
-    out += ",\"droppedFrames\":";
-    out += std::to_string(droppedFrames);
-    out += '}';
+    out += ",\"droppedFrames\":0}";
     return out;
 }
 

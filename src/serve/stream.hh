@@ -13,8 +13,10 @@
  *   - final    — closes one cell; `data` is the exact final-registry
  *                jsonl line.
  *   - progress — cells done/total plus a throughput-derived ETA.
- *   - result   — terminal; job state, error (failed only), and the
- *                subscriber's counted dropped frames.
+ *   - result   — terminal; job state, error (failed only), and
+ *                `droppedFrames`, always 0: a subscription is a cursor
+ *                over the job's cells and cannot drop a frame. Wire
+ *                readers still require the member.
  *
  * The determinism contract: concatenating the `data` members of one
  * cell's meta/epoch/final frames reproduces the offline
@@ -23,9 +25,9 @@
  *
  * Thread safety: every builder here is a pure function of its
  * arguments — no shared mutable state, no capabilities to annotate
- * (see common/thread_annotations.hh). JobManager calls them from
- * worker threads outside its lock precisely because of this; keep new
- * builders stateless or they move under the manager's mu_.
+ * (see common/thread_annotations.hh). JobManager::nextFrame calls them
+ * on the reader's thread outside the manager's lock precisely because
+ * of this; keep new builders stateless or they move under its mu_.
  */
 
 #pragma once
@@ -60,8 +62,7 @@ std::string progressFrame(const std::string& id,
 
 /** Terminal frame; @p error is embedded only when non-empty. */
 std::string resultFrame(const std::string& id, const char* state,
-                        const std::string& error,
-                        std::uint64_t droppedFrames);
+                        const std::string& error);
 
 /**
  * The replayable frames of one completed cell, in stream order:

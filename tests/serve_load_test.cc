@@ -181,9 +181,8 @@ TEST(ServeLoad, ThousandJobsFourPrioritiesHeavyDedup)
  * path): several subscribers per job, some subscribing before dispatch
  * and some mid-run or after completion (the replay path), all racing
  * the publisher. Every watcher must observe the identical
- * meta/epoch/final byte stream, a terminal result frame, and zero
- * drops (the default queue cap is far above one job's frame count);
- * the manager must never stall on any of them.
+ * meta/epoch/final byte stream and a terminal result frame reporting
+ * zero drops; the manager must never stall on any of them.
  */
 TEST(ServeLoad, ConcurrentWatchersSeeIdenticalCompleteStreams)
 {
@@ -244,7 +243,9 @@ TEST(ServeLoad, ConcurrentWatchersSeeIdenticalCompleteStreams)
                 EXPECT_NE(last.find("\"state\":\"done\""),
                           std::string::npos)
                     << last;
-                EXPECT_EQ(sub->dropped, 0u);
+                EXPECT_NE(last.find("\"droppedFrames\":0}"),
+                          std::string::npos)
+                    << last;
                 streams[j][w] = bytes;
                 manager.unsubscribe(sub);
             });
@@ -269,7 +270,6 @@ TEST(ServeLoad, ConcurrentWatchersSeeIdenticalCompleteStreams)
     EXPECT_EQ(gauges.get("serve.subscriptions.opened"),
               double(kJobs * kWatchersPerJob));
     EXPECT_EQ(gauges.get("serve.subscriptions.active"), 0.0);
-    EXPECT_EQ(gauges.get("serve.subscriptions.droppedFrames"), 0.0);
 }
 
 /** Dedup + cancel interplay under load: a cancelled job's key is

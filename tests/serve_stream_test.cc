@@ -2,7 +2,7 @@
  * @file
  * Live-telemetry tests: job frame streams (subscribe/unsubscribe over
  * real loopback sockets), the streamed-equals-offline byte-identity
- * contract, slow-consumer backpressure, latency histograms, gauge
+ * contract, slow and late readers, latency histograms, gauge
  * catalogue coverage, and the structured event log.
  */
 
@@ -307,7 +307,6 @@ TEST_F(ServeStreamTest, StatsPublishSubscriptionAndPoolGauges)
     ASSERT_TRUE(client_.stats(stats, error)) << error;
     EXPECT_EQ(stats.count("serve.subscriptions.opened"), 1u);
     EXPECT_EQ(stats.count("serve.subscriptions.active"), 1u);
-    EXPECT_EQ(stats.count("serve.subscriptions.droppedFrames"), 1u);
     EXPECT_EQ(stats.count("pool.threads"), 1u);
     EXPECT_EQ(stats.count("pool.queueDepth"), 1u);
     EXPECT_EQ(stats.count("pool.steals"), 1u);
@@ -374,30 +373,72 @@ TEST_F(ServeStreamTest, EveryPublishedGaugeHasCataloguedHelp)
 }
 
 // ---------------------------------------------------------------------
-// Backpressure (manager-level, no sockets)
+// Subscription cursors (manager-level, no sockets)
 // ---------------------------------------------------------------------
 
-TEST(ServeBackpressure, SlowConsumerDropsAreCountedTerminalDelivered)
+/** Frames of one subscription, split into data and stream control. */
+struct DrainedStream
+{
+    std::string data; ///< meta/epoch/final frames, one per line
+    std::vector<std::string> kinds; ///< every frame's kind, in order
+    std::string last; ///< the final frame delivered
+};
+
+std::string
+frameKind(const std::string& frame)
+{
+    const std::string key = "\"frame\":\"";
+    const std::size_t at = frame.find(key);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t from = at + key.size();
+    return frame.substr(from, frame.find('"', from) - from);
+}
+
+/** Pull every frame @p sub has now; true once the stream ended. */
+bool
+drainAvailable(serve::JobManager& jobs, serve::Subscription& sub,
+               DrainedStream& out)
+{
+    std::string frame;
+    while (jobs.nextFrame(sub, frame)) {
+        const std::string kind = frameKind(frame);
+        out.kinds.push_back(kind);
+        if (kind == "meta" || kind == "epoch" || kind == "final")
+            out.data += frame + "\n";
+        out.last = frame;
+    }
+    return jobs.subscriptionDone(sub);
+}
+
+TEST(ServeBackpressure, SlowConsumerGetsTheFullStreamAfterTheJobFinishes)
 {
     ExperimentRunner runner(tinyOptions(), &ThreadPool::global());
-    serve::JobConfig config;
-    config.subscriberQueueCap = 4; // far below one cell's frame count
-    serve::JobManager jobs(runner, config);
+    serve::JobManager jobs(runner);
 
     jobs.pauseDispatch();
-    SweepSpec spec({"hotspot"}, {Technique::WarpedGates},
+    SweepSpec spec({"hotspot"},
+                   {Technique::Baseline, Technique::WarpedGates},
                    tinyOptions());
     auto outcome = jobs.submit(spec, 0);
     ASSERT_TRUE(outcome.ok) << outcome.error;
     std::string error;
-    std::shared_ptr<serve::Subscription> sub =
+    std::shared_ptr<serve::Subscription> slow =
         jobs.subscribe(outcome.id, error);
-    ASSERT_NE(sub, nullptr) << error;
+    ASSERT_NE(slow, nullptr) << error;
+    std::shared_ptr<serve::Subscription> prompt =
+        jobs.subscribe(outcome.id, error);
+    ASSERT_NE(prompt, nullptr) << error;
+
+    DrainedStream promptStream;
+    std::thread promptReader([&] {
+        while (!drainAvailable(jobs, *prompt, promptStream))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
     jobs.resumeDispatch();
 
-    // Never drain the queue: the publisher must finish the job anyway
-    // (it never blocks on a subscriber) and still deliver the forced
-    // terminal frame past the cap.
+    // The slow subscriber reads nothing until the job is done: the
+    // publisher never waits on a reader.
     for (;;) {
         auto status = jobs.status(outcome.id);
         ASSERT_TRUE(status.has_value());
@@ -405,29 +446,66 @@ TEST(ServeBackpressure, SlowConsumerDropsAreCountedTerminalDelivered)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
+    promptReader.join();
 
-    std::vector<std::string> frames;
+    DrainedStream slowStream;
+    ASSERT_TRUE(drainAvailable(jobs, *slow, slowStream));
+
+    // Subscribed before any cell: progress, both cells in order, one
+    // progress on catching up, then the terminal result with no drops.
+    ASSERT_GE(slowStream.kinds.size(), 8u);
+    EXPECT_EQ(slowStream.kinds.front(), "progress");
+    std::vector<std::string> cellKinds;
+    for (std::size_t i = 1; i + 2 < slowStream.kinds.size(); ++i)
+        if (slowStream.kinds[i] != "epoch")
+            cellKinds.push_back(slowStream.kinds[i]);
+    EXPECT_EQ(cellKinds, (std::vector<std::string>{"meta", "final",
+                                                   "meta", "final"}));
+    EXPECT_EQ(slowStream.kinds[slowStream.kinds.size() - 2],
+              "progress");
+    EXPECT_EQ(slowStream.kinds.back(), "result");
+    EXPECT_NE(slowStream.last.find("\"state\":\"done\""),
+              std::string::npos)
+        << slowStream.last;
+    EXPECT_NE(slowStream.last.find("\"droppedFrames\":0}"),
+              std::string::npos)
+        << slowStream.last;
+
+    // Same meta/epoch/final bytes as the subscriber that kept up.
+    EXPECT_EQ(promptStream.kinds.back(), "result");
+    EXPECT_EQ(slowStream.data, promptStream.data);
+    jobs.unsubscribe(slow);
+    jobs.unsubscribe(prompt);
+}
+
+TEST(ServeCursor, CancelledQueuedJobEndsItsStream)
+{
+    ExperimentRunner runner(tinyOptions(), &ThreadPool::global());
+    serve::JobManager jobs(runner);
+
+    jobs.pauseDispatch();
+    SweepSpec spec({"hotspot"}, {Technique::Baseline}, tinyOptions());
+    auto outcome = jobs.submit(spec, 0);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    std::string error;
+    std::shared_ptr<serve::Subscription> sub =
+        jobs.subscribe(outcome.id, error);
+    ASSERT_NE(sub, nullptr) << error;
+    ASSERT_TRUE(jobs.cancel(outcome.id, error)) << error;
+
+    // No cell ever ran: the cursor's subscribe-time progress frame,
+    // then the terminal result, with no further frames.
+    DrainedStream stream;
+    ASSERT_TRUE(drainAvailable(jobs, *sub, stream));
+    EXPECT_EQ(stream.kinds,
+              (std::vector<std::string>{"progress", "result"}));
+    EXPECT_NE(stream.last.find("\"state\":\"cancelled\""),
+              std::string::npos)
+        << stream.last;
     std::string frame;
-    while (jobs.nextFrame(*sub, frame))
-        frames.push_back(frame);
-    ASSERT_FALSE(frames.empty());
-    ASSERT_LE(frames.size(), config.subscriberQueueCap + 1);
-    EXPECT_NE(frames.back().find("\"frame\":\"result\""),
-              std::string::npos)
-        << frames.back();
-    EXPECT_NE(frames.back().find("\"state\":\"done\""),
-              std::string::npos);
-    EXPECT_GT(sub->dropped, 0u);
-    EXPECT_NE(frames.back().find("\"droppedFrames\":" +
-                                 std::to_string(sub->dropped)),
-              std::string::npos)
-        << frames.back();
-
-    StatSet set;
-    jobs.publishStats(set);
-    EXPECT_EQ(set.get("serve.subscriptions.droppedFrames"),
-              static_cast<double>(sub->dropped));
+    EXPECT_FALSE(jobs.nextFrame(*sub, frame));
     jobs.unsubscribe(sub);
+    jobs.resumeDispatch();
 }
 
 // ---------------------------------------------------------------------
