@@ -19,14 +19,6 @@ ExecUnit::ExecUnit(UnitClass cls, unsigned index,
     name_ = std::string(unitClassName(cls)) + std::to_string(index);
 }
 
-bool
-ExecUnit::canAccept(Cycle now) const
-{
-    if (last_issue_ == kNeverCycle)
-        return true;
-    return now >= last_issue_ + config_.initiationInterval;
-}
-
 void
 ExecUnit::issue(Cycle now, Cycle complete, WarpId warp, RegId dest,
                 bool long_latency)

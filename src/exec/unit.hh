@@ -93,7 +93,12 @@ class ExecUnit
     ExecUnit(UnitClass cls, unsigned index, const ExecUnitConfig& config);
 
     /** @return true when the issue port is free this cycle. */
-    bool canAccept(Cycle now) const;
+    bool
+    canAccept(Cycle now) const
+    {
+        return last_issue_ == kNeverCycle ||
+               now >= last_issue_ + config_.initiationInterval;
+    }
 
     /**
      * Issue a warp instruction.

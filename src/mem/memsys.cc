@@ -13,14 +13,6 @@ MemorySystem::MemorySystem(const MemConfig& config, Rng rng)
         fatal("MemConfig: mshrLimit must be positive");
 }
 
-bool
-MemorySystem::canAccept(MemClass mem) const
-{
-    if (mem == MemClass::Miss)
-        return inflight_.size() < config_.mshrLimit;
-    return true;
-}
-
 Cycle
 MemorySystem::access(Cycle now, MemClass mem, bool is_store)
 {

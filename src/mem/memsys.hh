@@ -93,7 +93,11 @@ class MemorySystem
      * Whether a new access of class @p mem can be accepted this cycle
      * (misses are rejected when the MSHR pool is full).
      */
-    bool canAccept(MemClass mem) const;
+    bool
+    canAccept(MemClass mem) const
+    {
+        return mem != MemClass::Miss || inflight_.size() < config_.mshrLimit;
+    }
 
     /**
      * Start an access; @return its completion cycle.
@@ -132,22 +136,20 @@ class MemorySystem
      *  refused attempt, so a stalled cycle can count several). */
     std::uint64_t mshrRejects() const { return mshr_rejects_; }
 
-    /** Record an issue attempt rejected for MSHR capacity. */
-    void
-    noteReject(Cycle now = 0)
-    {
-        ++mshr_rejects_;
-        if (trace_)
-            trace_->record(now, trace::EventKind::MshrReject,
-                           static_cast<std::uint8_t>(UnitClass::Ldst),
-                           trace::kNoCluster, 0, outstanding());
-    }
-
     /**
-     * Bulk form of noteReject for fast-forwarded stall spans; records
-     * no events (a traced replay calls noteReject per attempt).
+     * Record @p count issue attempts at cycle @p now rejected for MSHR
+     * capacity; traced, each is one MshrReject event.
      */
-    void noteRejects(std::uint64_t count) { mshr_rejects_ += count; }
+    void
+    noteRejects(std::uint64_t count, Cycle now = 0)
+    {
+        mshr_rejects_ += count;
+        if (trace_)
+            for (std::uint64_t i = 0; i < count; ++i)
+                trace_->record(now, trace::EventKind::MshrReject,
+                               static_cast<std::uint8_t>(UnitClass::Ldst),
+                               trace::kNoCluster, 0, outstanding());
+    }
 
     /** Attach a trace recorder (null = tracing off). */
     void setTrace(trace::Recorder* recorder) { trace_ = recorder; }

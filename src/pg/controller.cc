@@ -41,26 +41,6 @@ PgController::typeIndex(UnitClass uc)
     }
 }
 
-bool
-PgController::canExecute(UnitClass uc, unsigned idx) const
-{
-    if (uc == UnitClass::Sfu)
-        return sfu_domain_.canExecute();
-    if (uc == UnitClass::Ldst)
-        return true; // never gated in this design
-    return domains_[typeIndex(uc)][idx].canExecute();
-}
-
-bool
-PgController::isGated(UnitClass uc, unsigned idx) const
-{
-    if (uc == UnitClass::Sfu)
-        return sfu_domain_.isGated();
-    if (uc == UnitClass::Ldst)
-        return false;
-    return domains_[typeIndex(uc)][idx].isGated();
-}
-
 int
 PgController::pickWakeupTarget(UnitClass uc) const
 {

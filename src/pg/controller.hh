@@ -52,10 +52,30 @@ class PgController
     explicit PgController(const PgParams& params);
 
     /** @return true when (uc, idx) can execute this cycle. */
-    bool canExecute(UnitClass uc, unsigned idx) const;
+    bool
+    canExecute(UnitClass uc, unsigned idx) const
+    {
+        switch (uc) {
+          case UnitClass::Int: return domains_[0][idx].canExecute();
+          case UnitClass::Fp: return domains_[1][idx].canExecute();
+          case UnitClass::Sfu: return sfu_domain_.canExecute();
+          case UnitClass::Ldst: return true; // never gated in this design
+        }
+        return true;
+    }
 
     /** @return true when (uc, idx) is gated (either blackout state). */
-    bool isGated(UnitClass uc, unsigned idx) const;
+    bool
+    isGated(UnitClass uc, unsigned idx) const
+    {
+        switch (uc) {
+          case UnitClass::Int: return domains_[0][idx].isGated();
+          case UnitClass::Fp: return domains_[1][idx].isGated();
+          case UnitClass::Sfu: return sfu_domain_.isGated();
+          case UnitClass::Ldst: return false;
+        }
+        return false;
+    }
 
     /**
      * Select the cluster of @p uc a blocked instruction should send its

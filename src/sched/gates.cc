@@ -1,7 +1,5 @@
 #include "gates.hh"
 
-#include "common/logging.hh"
-
 namespace wg {
 
 GatesScheduler::GatesScheduler(const GatesConfig& config) : config_(config)
@@ -19,12 +17,16 @@ GatesScheduler::switchPriority(Cycle now)
                        static_cast<std::uint8_t>(hi_));
 }
 
-std::array<UnitClass, kNumUnitClasses>
-GatesScheduler::classOrder() const
+IssuePriority
+GatesScheduler::priority() const
 {
     // [HI, LDST, SFU, LO]; LDST outranks SFU (longer memory latency).
-    UnitClass lo = hi_ == UnitClass::Int ? UnitClass::Fp : UnitClass::Int;
-    return {hi_, UnitClass::Ldst, UnitClass::Sfu, lo};
+    IssuePriority p;
+    p.classRank[static_cast<std::size_t>(hi_)] = 0;
+    p.classRank[static_cast<std::size_t>(UnitClass::Ldst)] = 1;
+    p.classRank[static_cast<std::size_t>(UnitClass::Sfu)] = 2;
+    p.classRank[static_cast<std::size_t>(loClass())] = 3;
+    return p;
 }
 
 bool
@@ -123,51 +125,6 @@ GatesScheduler::fastForward(Cycle from, Cycle n, const SchedView& view)
         beginCycle(from + i, view);
         if (switches_ == before)
             return;
-    }
-}
-
-void
-GatesScheduler::order(const SchedView& view, std::vector<WarpId>& out)
-{
-    out.clear();
-    const WarpMask ready = view.readyAny();
-    if (ready == 0)
-        return;
-    if ((ready & ~view.activeMask) != 0)
-        panic("GatesScheduler::order: ready mask not a subset of active");
-
-    // Fast path: one ready warp — no partition needed, and every
-    // priority order agrees on a singleton.
-    if (dropFirstHot(ready) == 0) {
-        out.push_back(firstHotIndex(ready));
-        return;
-    }
-
-    // Stable partition of the ready warps by class priority, keeping
-    // the least-recently-issued order the SM maintains within each
-    // class: popcount the per-class ready masks into prefix-sum write
-    // cursors, then one masked pass over the LRI array places each
-    // ready warp directly. Identical output to four scans.
-    const std::array<UnitClass, kNumUnitClasses> prio = classOrder();
-    std::array<std::size_t, kNumUnitClasses> cursor = {};
-    std::size_t base = 0;
-    for (UnitClass uc : prio) {
-        cursor[static_cast<std::size_t>(uc)] = base;
-        base += popcount(view.readyMask[static_cast<std::size_t>(uc)]);
-    }
-    out.resize(base);
-    for (std::size_t i = 0; i < view.numActive; ++i) {
-        const WarpId w = view.lri[i];
-        if (!hasWarp(ready, w))
-            continue;
-        // The per-class ready masks are disjoint, so exactly one
-        // holds w — membership doubles as the head-class lookup.
-        for (std::size_t c = 0; c < kNumUnitClasses; ++c) {
-            if (hasWarp(view.readyMask[c], w)) {
-                out[cursor[c]++] = w;
-                break;
-            }
-        }
     }
 }
 

@@ -43,7 +43,9 @@ class GatesScheduler : public Scheduler
 
     void beginCycle(Cycle now, const SchedView& view) override;
 
-    void order(const SchedView& view, std::vector<WarpId>& out) override;
+    /** Class rank [HI, LDST, SFU, LO], least recently issued first
+     *  within a class. */
+    IssuePriority priority() const override;
 
     void notifyIssue(WarpId warp, UnitClass uc) override;
 
@@ -116,9 +118,6 @@ class GatesScheduler : public Scheduler
     {
         return hi_ == UnitClass::Int ? UnitClass::Fp : UnitClass::Int;
     }
-
-    /** @return the total class order for the current HI selection. */
-    std::array<UnitClass, kNumUnitClasses> classOrder() const;
 
     GatesConfig config_;
     UnitClass hi_ = UnitClass::Int; ///< current highest-priority class

@@ -10,28 +10,6 @@ GtoScheduler::beginCycle(Cycle now, const SchedView& view)
 }
 
 void
-GtoScheduler::order(const SchedView& view, std::vector<WarpId>& out)
-{
-    out.clear();
-    WarpMask ready = view.readyAny();
-
-    // Greedy: the last-issued warp leads while it stays ready. The
-    // guard also covers the never-issued sentinel (~WarpId(0)) and
-    // notifyIssue calls with out-of-range ids from synthetic tests.
-    if (greedy_warp_ < kMaxWarpsPerSm && hasWarp(ready, greedy_warp_)) {
-        out.push_back(greedy_warp_);
-        ready &= ~warpBit(greedy_warp_);
-    }
-
-    // Oldest-first: ascending warp id is exactly ascending bit order,
-    // so the sort collapses to a firstHot rotation.
-    while (ready != 0) {
-        out.push_back(firstHotIndex(ready));
-        ready = dropFirstHot(ready);
-    }
-}
-
-void
 GtoScheduler::notifyIssue(WarpId warp, UnitClass uc)
 {
     if (trace_ && warp != greedy_warp_)

@@ -16,19 +16,25 @@
 
 namespace wg {
 
-/** Greedy-then-oldest candidate ordering. */
+/** Greedy-then-oldest issue priority. */
 class GtoScheduler : public Scheduler
 {
   public:
     void beginCycle(Cycle now, const SchedView& view) override;
 
     /**
-     * Candidate order: the last-issued warp first (greedy, if still
-     * ready), then the remaining ready warps by warp id (age proxy:
-     * lower ids were launched earlier). Ascending-id order makes this
-     * a pure firstHot rotation over the ready mask — no sort.
+     * The last-issued warp first (greedy, if still ready), then the
+     * remaining ready warps by warp id (age proxy: lower ids were
+     * launched earlier).
      */
-    void order(const SchedView& view, std::vector<WarpId>& out) override;
+    IssuePriority
+    priority() const override
+    {
+        IssuePriority p;
+        p.byLri = false;
+        p.lead = greedy_warp_;
+        return p;
+    }
 
     void notifyIssue(WarpId warp, UnitClass uc) override;
 

@@ -10,21 +10,6 @@ TwoLevelScheduler::beginCycle(Cycle now, const SchedView& view)
 }
 
 void
-TwoLevelScheduler::order(const SchedView& view, std::vector<WarpId>& out)
-{
-    out.clear();
-    const WarpMask ready = view.readyAny();
-    if (ready == 0)
-        return;
-    out.reserve(static_cast<std::size_t>(popcount(ready)));
-    for (std::size_t i = 0; i < view.numActive; ++i) {
-        const WarpId w = view.lri[i];
-        if (hasWarp(ready, w))
-            out.push_back(w);
-    }
-}
-
-void
 TwoLevelScheduler::notifyIssue(WarpId warp, UnitClass uc)
 {
     (void)warp;

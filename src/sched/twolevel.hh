@@ -12,16 +12,15 @@
 namespace wg {
 
 /**
- * Type-agnostic round-robin over the active set. The SM maintains the
- * least-recently-issued ordering of the active list, so ordering here is
- * the LRI sequence masked down to the ready warps.
+ * Type-agnostic round-robin over the active set: every class shares
+ * one rank, and the SM's least-recently-issued order decides.
  */
 class TwoLevelScheduler : public Scheduler
 {
   public:
     void beginCycle(Cycle now, const SchedView& view) override;
 
-    void order(const SchedView& view, std::vector<WarpId>& out) override;
+    IssuePriority priority() const override { return {}; }
 
     void notifyIssue(WarpId warp, UnitClass uc) override;
 

@@ -111,8 +111,8 @@ TEST(MemSys, RejectCounter)
 {
     MemorySystem mem(smallConfig(), Rng(3));
     EXPECT_EQ(mem.mshrRejects(), 0u);
-    mem.noteReject();
-    mem.noteReject();
+    mem.noteRejects(1);
+    mem.noteRejects(1);
     EXPECT_EQ(mem.mshrRejects(), 2u);
 }
 
