@@ -283,6 +283,15 @@ class Collector
      */
     PhaseTimers profile;
 
+    /**
+     * Fast-forward coverage summed over every SM of the runs this
+     * collector observed: cycles jumped and spans taken. Like the phase
+     * timers it differs between FF on and off, so only the opt-in
+     * profile section (wgsim --profile) publishes it.
+     */
+    std::uint64_t ffSkippedCycles = 0;
+    std::uint64_t ffSpans = 0;
+
   private:
     Cycle epoch_override_;
     Cycle epoch_length_ = 0;

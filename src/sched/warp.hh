@@ -153,8 +153,6 @@ class WarpSet
     /** Cached head-instruction class (valid while hasHead()). */
     UnitClass headClass(WarpId w) const { return headClass_[w]; }
 
-    /** SoA view of the cached head classes (for SchedView::headClass). */
-    const UnitClass* headClassData() const { return headClass_.data(); }
 
     /** Cached head-instruction scoreboard mask (valid while hasHead()). */
     std::uint32_t headRegMask(WarpId w) const { return headRegMask_[w]; }

@@ -157,6 +157,12 @@ SimSession::result()
             stats[s] = sms_[s]->run();
         });
     }
+    if (metrics_) {
+        for (const auto& sm : sms_) {
+            metrics_->ffSkippedCycles += sm->ffSkippedCycles();
+            metrics_->ffSpans += sm->ffSpans();
+        }
+    }
     return aggregate(std::move(stats));
 }
 

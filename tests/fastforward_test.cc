@@ -124,12 +124,18 @@ TEST(FastForward, PooledMatchesSerialAndReference)
 
 TEST(FastForward, RandomizedConfigsBitIdentical)
 {
-    // Deterministic fuzz: random PG windows, technique, SM count and
-    // workload shape. Any divergence between the analytic replay and
-    // the stepped path shows up as a byte diff here.
+    // Deterministic fuzz: random PG windows, technique, scheduler,
+    // issue width, MSHR pool, SM count and workload shape. Any
+    // divergence between the analytic replay and the stepped path shows
+    // up as a byte diff here. The quiescence proof and the issue stage
+    // share one verdict function, so small pools (reject-heavy spans)
+    // and widths 1 and 3 exercise both.
     Rng rng(0x57a71c5eedULL);
     const char* benches[] = {"hotspot", "nw", "bfs", "NN"};
-    for (int trial = 0; trial < 6; ++trial) {
+    const SchedulerPolicy schedulers[] = {SchedulerPolicy::TwoLevel,
+                                          SchedulerPolicy::Gates,
+                                          SchedulerPolicy::Gto};
+    for (int trial = 0; trial < 12; ++trial) {
         SCOPED_TRACE(trial);
         const auto& techs = allTechniques();
         Technique t = techs[rng.nextRange(techs.size())];
@@ -140,6 +146,14 @@ TEST(FastForward, RandomizedConfigsBitIdentical)
         opts.breakEven = 1 + rng.nextRange(30);
         opts.wakeupDelay = 1 + rng.nextRange(6);
         GpuConfig config = makeConfig(t, opts);
+        // Rotated rather than drawn, so every policy gets 4 trials.
+        config.sm.scheduler = schedulers[trial % 3];
+        config.sm.issueWidth = 1 + static_cast<unsigned>(rng.nextRange(3));
+        config.sm.mem.mshrLimit =
+            2 + static_cast<unsigned>(rng.nextRange(15));
+        SCOPED_TRACE(std::string(schedulerPolicyName(config.sm.scheduler)) +
+                     " w" + std::to_string(config.sm.issueWidth) +
+                     " mshr" + std::to_string(config.sm.mem.mshrLimit));
 
         BenchmarkProfile p =
             profile(benches[rng.nextRange(4)],
@@ -171,6 +185,32 @@ TEST(FastForward, EngagesOnMemoryBoundWorkload)
     EXPECT_GT(sm.ffSkippedCycles(), 0u);
     EXPECT_GT(sm.ffSpans(), 0u);
     EXPECT_GE(sm.ffSkippedCycles(), sm.ffSpans());
+}
+
+TEST(FastForward, ProfileSectionSumsCoverageOverSms)
+{
+    // The opt-in profile section carries each SM's span diagnostics,
+    // summed; with fast-forward off there is nothing to count.
+    for (bool ff : {true, false}) {
+        SCOPED_TRACE(ff ? "ff on" : "ff off");
+        GpuConfig config = ffConfig(Technique::WarpedGates, ff);
+        const BenchmarkProfile p = profile("nw");
+        metrics::Collector mets;
+        Gpu(config).run(p, nullptr, nullptr, &mets);
+
+        std::uint64_t skipped = 0, spans = 0;
+        ProgramGenerator gen(config.seed);
+        for (unsigned s = 0; s < config.numSms; ++s) {
+            Sm sm(config.sm, gen.generateSm(p, s),
+                  Gpu::smSeed(config.seed, s));
+            sm.run();
+            skipped += sm.ffSkippedCycles();
+            spans += sm.ffSpans();
+        }
+        EXPECT_EQ(mets.ffSkippedCycles, skipped);
+        EXPECT_EQ(mets.ffSpans, spans);
+        EXPECT_EQ(skipped > 0, ff);
+    }
 }
 
 TEST(FastForward, WrappedRingBitIdentical)

@@ -75,8 +75,8 @@ constexpr FlagSpec kFlags[] = {
     {"metrics-format", FlagKind::String, "jsonl",
      "metrics serialisation: csv|jsonl|prom"},
     {"profile", FlagKind::Bool, "",
-     "self-profile: include wall-clock phase timers and pool stats "
-     "(profile.*) in the metrics registry"},
+     "self-profile: include wall-clock phase timers, pool stats and "
+     "fast-forward coverage (profile.*) in the metrics registry"},
     {"checkpoint-at", FlagKind::Int, "0",
      "pause at this cycle (epoch boundaries by convention) and write "
      "the snapshot named by --checkpoint (single benchmark only)"},
@@ -398,6 +398,10 @@ main(int argc, char** argv)
                          elapsed > 0.0 ? pool_stats.busySeconds /
                                              (elapsed * threads)
                                        : 0.0);
+            registry.set("profile.sm.ffSkippedCycles",
+                         static_cast<double>(mcollector.ffSkippedCycles));
+            registry.set("profile.sm.ffSpans",
+                         static_cast<double>(mcollector.ffSpans));
         }
         if (metering) {
             metrics::writeMetricsFile(args.getString("metrics"),
@@ -417,6 +421,13 @@ main(int argc, char** argv)
             table.row({"pool busy (all tasks)",
                        Table::num(pool_stats.busySeconds, 3)});
             table.print();
+            Table ff("fast-forward coverage (all SMs)");
+            ff.header({"counter", "value"});
+            ff.row({"profile.sm.ffSkippedCycles",
+                    std::to_string(mcollector.ffSkippedCycles)});
+            ff.row({"profile.sm.ffSpans",
+                    std::to_string(mcollector.ffSpans)});
+            ff.print();
         }
     }
     return 0;
