@@ -176,6 +176,8 @@ STATS=$(timeout "$STEP_TIMEOUT" "$BUILD/tools/wgctl" stats \
     --port "$PORT") || fail "wgctl stats"
 echo "$STATS" | grep -E 'serve\.cache\.misses +0\b' >/dev/null \
     || fail "resume recomputed cells instead of using the seeded cache ($STATS)"
+echo "$STATS" | grep -E 'serve\.cache\.hits +4\b' >/dev/null \
+    || fail "resume did not serve all 4 checkpointed cells from the seeded cache ($STATS)"
 stop_daemon
 
 echo "checkpoint_e2e: PASS"

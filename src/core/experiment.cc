@@ -23,36 +23,11 @@ ExperimentRunner::key(const std::string& bench, Technique t,
     return os.str();
 }
 
-namespace {
-
-/** Approximate heap footprint of a cached result (for CacheLimits). */
-std::size_t
-approximateResultBytes(const SimResult& r)
-{
-    auto histBytes = [](const Histogram& h) {
-        return (h.maxBin() + 1) * sizeof(std::uint64_t);
-    };
-    std::size_t bytes = sizeof(SimResult);
-    bytes += r.smCycles.capacity() * sizeof(Cycle);
-    bytes += histBytes(r.intIdleHist) + histBytes(r.fpIdleHist);
-    for (const auto& type : r.aggregate.clusters)
-        for (const auto& cluster : type)
-            bytes += histBytes(cluster.idleHist);
-    bytes += histBytes(r.aggregate.sfuCluster.idleHist);
-    return bytes;
-}
-
-} // namespace
-
 const SimResult&
 ExperimentRunner::run(const std::string& bench, Technique t,
                       const std::optional<ExperimentOptions>& options)
 {
-    // Pinning keeps the historical contract — references returned here
-    // stay valid for the runner's lifetime — even when cache limits
-    // are active. Long-running services should prefer runShared().
-    return *runInternal(bench, t, options, /*pin=*/true,
-                        /*meter=*/false, nullptr);
+    return *runInternal(bench, t, options, /*meter=*/false).result;
 }
 
 std::shared_ptr<const SimResult>
@@ -60,8 +35,7 @@ ExperimentRunner::runShared(
     const std::string& bench, Technique t,
     const std::optional<ExperimentOptions>& options)
 {
-    return runInternal(bench, t, options, /*pin=*/false,
-                       /*meter=*/false, nullptr);
+    return runInternal(bench, t, options, /*meter=*/false).result;
 }
 
 MeteredResult
@@ -69,17 +43,13 @@ ExperimentRunner::runMetered(
     const std::string& bench, Technique t,
     const std::optional<ExperimentOptions>& options)
 {
-    MeteredResult out;
-    out.result = runInternal(bench, t, options, /*pin=*/false,
-                             /*meter=*/true, &out.series);
-    return out;
+    return runInternal(bench, t, options, /*meter=*/true);
 }
 
-std::shared_ptr<const SimResult>
+MeteredResult
 ExperimentRunner::runInternal(
     const std::string& bench, Technique t,
-    const std::optional<ExperimentOptions>& options, bool pin,
-    bool meter, std::shared_ptr<const metrics::EpochSeries>* series_out)
+    const std::optional<ExperimentOptions>& options, bool meter)
 {
     const ExperimentOptions& opts = options ? *options : opts_;
     std::string k = key(bench, t, opts);
@@ -108,24 +78,14 @@ ExperimentRunner::runInternal(
         // ThreadPool::wait, which help-runs other queued pool tasks,
         // and a helped task that asks for this same key parks here
         // above the frame that would set the entry ready.
-        // The entry reference stays valid while we wait: in-flight and
-        // waited-on entries are never evicted (map nodes are stable).
         ++stats_.hits;
-        // The waiter count keeps this node safe from eviction between
-        // the owner's notify and this thread actually waking up.
-        ++entry.waiters;
         while (!entry.ready)
             ready_cv_.wait(lock);
-        --entry.waiters;
         if (entry.truncated)
             warn("experiment ", k,
                  " hit maxCycles before draining (cached result is "
                  "incomplete)");
-        entry.pinned = entry.pinned || pin;
-        entry.lastUse = ++use_tick_;
-        if (series_out != nullptr)
-            *series_out = entry.series;
-        return entry.result;
+        return {entry.result, entry.series};
     }
     ++stats_.misses;
     ++stats_.inFlight;
@@ -138,67 +98,25 @@ ExperimentRunner::runInternal(
     metrics::Collector collector;
     SimResult result =
         gpu.run(profile, pool_, nullptr, meter ? &collector : nullptr);
-    std::shared_ptr<const metrics::EpochSeries> series;
+    MeteredResult out;
     if (meter) {
-        series = std::make_shared<const metrics::EpochSeries>(
+        out.series = std::make_shared<const metrics::EpochSeries>(
             metrics::buildSeries(collector));
     }
     bool truncated = !result.aggregate.completed;
     if (truncated)
         warn("experiment ", k, " hit maxCycles before draining");
+    out.result = std::make_shared<const SimResult>(std::move(result));
 
     lock.relock();
-    entry.result = std::make_shared<SimResult>(std::move(result));
-    entry.series = series;
+    entry.result = out.result;
+    entry.series = out.series;
     entry.truncated = truncated;
-    entry.pinned = pin;
-    entry.lastUse = ++use_tick_;
-    entry.bytes = approximateResultBytes(*entry.result);
-    if (series) {
-        entry.bytes += series->totalSamples() * sizeof(metrics::EpochSample) +
-                       series->perSm.capacity() *
-                           sizeof(std::vector<metrics::EpochSample>);
-    }
     entry.ready = true;
     --stats_.inFlight;
-    ++stats_.entries;
-    stats_.bytes += entry.bytes;
-    std::shared_ptr<const SimResult> out = entry.result;
-    if (series_out != nullptr)
-        *series_out = entry.series;
-    enforceLimitsLocked();
     lock.unlock();
     ready_cv_.notifyAll();
     return out;
-}
-
-void
-ExperimentRunner::enforceLimitsLocked()
-{
-    // Condition inlined (not a lambda): clang's thread-safety analysis
-    // treats a lambda as a separate function that cannot see mu_ held.
-    while ((limits_.maxEntries != 0 &&
-            stats_.entries > limits_.maxEntries) ||
-           (limits_.maxBytes != 0 && stats_.bytes > limits_.maxBytes)) {
-        // LRU scan. The map stays small (it is capped); a heap would
-        // only complicate the pinned/in-flight exclusions.
-        auto victim = cache_.end();
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            const CacheEntry& e = it->second;
-            if (!e.ready || e.pinned || e.waiters != 0)
-                continue; // never race an in-flight compute or a ref
-            if (victim == cache_.end() ||
-                e.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        if (victim == cache_.end())
-            return; // everything left is in-flight or pinned
-        ++stats_.evictions;
-        stats_.evictedBytes += victim->second.bytes;
-        stats_.bytes -= victim->second.bytes;
-        --stats_.entries;
-        cache_.erase(victim);
-    }
 }
 
 bool
@@ -213,30 +131,19 @@ ExperimentRunner::seedCache(
     if (!inserted)
         return false; // computed (or computing) locally; keep that
     CacheEntry& entry = it->second;
-    entry.result = std::make_shared<SimResult>(std::move(result));
-    entry.truncated = !entry.result->aggregate.completed;
-    entry.lastUse = ++use_tick_;
-    entry.bytes = approximateResultBytes(*entry.result);
+    entry.truncated = !result.aggregate.completed;
+    entry.result = std::make_shared<const SimResult>(std::move(result));
     entry.ready = true;
-    ++stats_.entries;
-    stats_.bytes += entry.bytes;
-    enforceLimitsLocked();
     return true;
-}
-
-void
-ExperimentRunner::setCacheLimits(const CacheLimits& limits)
-{
-    MutexLock lock(mu_);
-    limits_ = limits;
-    enforceLimitsLocked();
 }
 
 CacheStats
 ExperimentRunner::cacheStats() const
 {
     MutexLock lock(mu_);
-    return stats_;
+    CacheStats out = stats_;
+    out.entries = cache_.size() - stats_.inFlight;
+    return out;
 }
 
 std::vector<const SimResult*>

@@ -7,10 +7,11 @@
  *
  * The runner is thread-safe. Results are cached behind a mutex with
  * single-flight semantics: two threads asking for the same key run the
- * simulation once, the second blocks until the first finishes. The
- * batch API (runAll / prefetch) schedules whole simulations
- * concurrently on the shared thread pool, so a figure sweep keeps
- * every core busy instead of running dozens of simulations serially.
+ * simulation once, the second blocks until the first finishes. A
+ * cached result lives as long as the runner. The batch API (runAll /
+ * prefetch) schedules whole simulations concurrently on the shared
+ * thread pool, so a figure sweep keeps every core busy instead of
+ * running dozens of simulations serially.
  */
 
 #pragma once
@@ -53,28 +54,13 @@ struct SweepSpec
     std::optional<ExperimentOptions> options;
 };
 
-/**
- * Result-cache bounds. Zero means unlimited (the default — references
- * returned by run()/runAll() then stay valid for the runner's
- * lifetime, as they always have). A long-running daemon sets caps so
- * thousands of distinct configs cannot grow the cache without limit.
- */
-struct CacheLimits
-{
-    std::size_t maxEntries = 0; ///< 0 = unlimited
-    std::size_t maxBytes = 0;   ///< approximate result bytes; 0 = unlimited
-};
-
 /** Cache-behaviour counters (sampled under the cache lock). */
 struct CacheStats
 {
-    std::uint64_t hits = 0;      ///< served from a ready entry
-    std::uint64_t misses = 0;    ///< triggered a simulation
-    std::uint64_t evictions = 0; ///< entries LRU-evicted
-    std::uint64_t evictedBytes = 0;
-    std::uint64_t entries = 0;   ///< current cached entries
-    std::uint64_t bytes = 0;     ///< current approximate bytes
-    std::uint64_t inFlight = 0;  ///< entries still computing
+    std::uint64_t hits = 0;     ///< served from a ready or in-flight entry
+    std::uint64_t misses = 0;   ///< triggered a simulation
+    std::uint64_t entries = 0;  ///< cached (ready) entries
+    std::uint64_t inFlight = 0; ///< entries still computing
 };
 
 /**
@@ -113,11 +99,8 @@ class ExperimentRunner
         const std::optional<ExperimentOptions>& options = std::nullopt);
 
     /**
-     * run() returning shared ownership of the cached result. This is
-     * the API to use when cache limits are set: the returned pointer
-     * keeps the result alive even after the entry is LRU-evicted,
-     * where a run() reference would only survive because run() pins
-     * its entry against eviction forever.
+     * run() returning shared ownership of the cached result, for
+     * callers that keep a result beyond the runner's lifetime.
      */
     std::shared_ptr<const SimResult>
     runShared(const std::string& bench, Technique t,
@@ -160,16 +143,7 @@ class ExperimentRunner
                    const std::optional<ExperimentOptions>& options,
                    SimResult result);
 
-    /**
-     * Bound the result cache (see CacheLimits). Entries an earlier
-     * run()/runAll() call handed out by reference are pinned and never
-     * evicted; in-flight (still computing) entries are never evicted
-     * either, so eviction cannot race a single-flight compute. Takes
-     * effect on the next completed simulation.
-     */
-    void setCacheLimits(const CacheLimits& limits);
-
-    /** Cache-behaviour counters (hits/misses/evictions/size). */
+    /** Cache-behaviour counters (hits/misses/size). */
     CacheStats cacheStats() const;
 
     /**
@@ -188,48 +162,37 @@ class ExperimentRunner
 
   private:
     /**
-     * A cache slot. Lives in a node-based map, so the entry reference
-     * single-flight waiters hold stays valid while other threads
-     * mutate the cache; the result itself is shared so eviction can
-     * drop the slot without invalidating handed-out results.
+     * A cache slot: in flight until the owner publishes it, then ready.
+     * Slots live in a node-based map and are never erased, so the
+     * references single-flight waiters and run() callers hold stay
+     * valid for the runner's lifetime.
      */
     struct CacheEntry
     {
-        std::shared_ptr<SimResult> result;
+        std::shared_ptr<const SimResult> result;
         std::shared_ptr<const metrics::EpochSeries> series; ///< metered
         bool ready = false;     ///< single-flight: owner still running
         bool truncated = false; ///< hit maxCycles; re-warn on every hit
-        bool pinned = false;    ///< handed out by reference; never evict
-        unsigned waiters = 0;   ///< single-flight waiters parked on this
-        std::uint64_t lastUse = 0; ///< LRU tick
-        std::size_t bytes = 0;  ///< approximate footprint
     };
 
     static std::string key(const std::string& bench, Technique t,
                            const ExperimentOptions& opts);
 
     /**
-     * Core of run()/runShared()/runMetered(); @p pin marks the entry
-     * unevictable, @p meter attaches a collector on miss and fills
-     * @p series_out (non-null only for metered callers).
+     * Core of run()/runShared()/runMetered(); @p meter attaches a
+     * collector on miss, so the entry caches the cell's series.
      */
-    std::shared_ptr<const SimResult>
+    MeteredResult
     runInternal(const std::string& bench, Technique t,
                 const std::optional<ExperimentOptions>& options,
-                bool pin, bool meter,
-                std::shared_ptr<const metrics::EpochSeries>* series_out);
-
-    /** Evict LRU entries until within limits_ (requires mu_ held). */
-    void enforceLimitsLocked() WG_REQUIRES(mu_);
+                bool meter);
 
     ExperimentOptions opts_;
     ThreadPool* pool_;
     mutable Mutex mu_;
     CondVar ready_cv_;
     std::map<std::string, CacheEntry> cache_ WG_GUARDED_BY(mu_);
-    CacheLimits limits_ WG_GUARDED_BY(mu_);
-    CacheStats stats_ WG_GUARDED_BY(mu_); ///< entries/bytes kept current
-    std::uint64_t use_tick_ WG_GUARDED_BY(mu_) = 0;
+    CacheStats stats_ WG_GUARDED_BY(mu_); ///< entries derived on read
 };
 
 /**

@@ -5,7 +5,8 @@
 namespace wg {
 
 void
-Scheduler::order(const SchedView& view, std::vector<WarpId>& out) const
+Scheduler::order(const SchedView& view, std::vector<WarpId>& out,
+                 const std::vector<WarpId>& lri) const
 {
     out.clear();
     const WarpMask ready = view.readyAny();
@@ -15,8 +16,8 @@ Scheduler::order(const SchedView& view, std::vector<WarpId>& out) const
     // LRI position stands in for the SM's stamps: both increase along
     // the least-recently-issued order.
     std::array<std::uint64_t, kMaxWarpsPerSm> stamp = {};
-    for (std::size_t i = 0; i < view.numActive; ++i)
-        stamp[view.lri[i]] = i;
+    for (std::size_t i = 0; i < lri.size(); ++i)
+        stamp[lri[i]] = i;
     const IssuePriority prio = priority();
     for (WarpMask left = ready; left != 0;) {
         const WarpId w =

@@ -52,11 +52,6 @@ struct SchedView
     std::array<WarpMask, kNumUnitClasses> readyMask = {};
     /** Warps currently in the active set. */
     WarpMask activeMask = 0;
-    /** Active warps in least-recently-issued order (front = LRI);
-     *  numActive entries, read only by Scheduler::order(). The SM
-     *  leaves it empty: its issue stage ranks by its own LRI stamps. */
-    const WarpId* lri = nullptr;
-    std::size_t numActive = 0;
     /** Power-gated (blackout) state of INT clusters 0/1. */
     std::array<bool, 2> intBlackout = {false, false};
     /** Power-gated (blackout) state of FP clusters 0/1. */
@@ -222,12 +217,15 @@ class Scheduler
 
     /**
      * The ready warps (view.readyAny()) in the order priority() ranks
-     * them, written to @p out. The SM never builds this list — it
-     * resolves slots from the key directly — so this exists to state
-     * and test a policy's order. Panics when a ready warp is outside
-     * the active set.
+     * them, written to @p out. @p lri lists the active warps in
+     * least-recently-issued order (front = LRI); a policy that ranks
+     * by warp id (GTO) needs none. The SM never builds this list — it
+     * resolves slots from the key and its own LRI stamps directly — so
+     * this exists to state and test a policy's order. Panics when a
+     * ready warp is outside the active set.
      */
-    void order(const SchedView& view, std::vector<WarpId>& out) const;
+    void order(const SchedView& view, std::vector<WarpId>& out,
+               const std::vector<WarpId>& lri = {}) const;
 
     /**
      * First cycle >= @p now at which beginCycle under this (constant)

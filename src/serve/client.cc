@@ -6,24 +6,17 @@
 #include "common/codec.hh"
 #include "serve/protocol.hh"
 #include "serve/snapshot.hh"
+#include "serve/wire_detail.hh"
 
 namespace wg::serve {
 
 using namespace codec;
+using wire::detail::makeEnvelope;
 
 namespace {
 
 /** Root of the error paths of daemon responses. */
 const std::string kRoot = "$";
-
-Json
-requestEnvelope(const std::string& type)
-{
-    Json doc = Json::object();
-    doc.set("wire", Json::number(wire::kSchemaVersion));
-    doc.set("type", Json::string(type));
-    return doc;
-}
 
 } // namespace
 
@@ -86,7 +79,7 @@ bool
 Client::submit(const SweepSpec& spec, unsigned priority,
                std::string& id, bool& deduped, std::string& error)
 {
-    Json req = requestEnvelope("submit");
+    Json req = makeEnvelope("submit");
     req.set("priority", Json::number(std::uint64_t(priority)));
     req.set("sweep", wire::toJson(spec));
     Json resp;
@@ -110,7 +103,7 @@ Client::submitSnapshot(const Json& snapshotDoc, unsigned priority,
     if (!wire::parseJobSnapshotDoc(snapshotDoc, snapId, spec, cells,
                                    error))
         return false;
-    Json req = requestEnvelope("submit");
+    Json req = makeEnvelope("submit");
     req.set("priority", Json::number(std::uint64_t(priority)));
     req.set("sweep", Json(*snapshotDoc.find("sweep")));
     req.set("cells", Json(*snapshotDoc.find("cells")));
@@ -127,7 +120,7 @@ bool
 Client::checkpoint(const std::string& id, Json& snapshotDoc,
                    std::string& error)
 {
-    Json req = requestEnvelope("checkpoint");
+    Json req = makeEnvelope("checkpoint");
     req.set("id", Json::string(id));
     Json resp;
     if (!roundTrip(req, "checkpoint", timeout_ms_, resp, error))
@@ -145,7 +138,7 @@ bool
 Client::status(const std::string& id, JobStatus& out,
                std::string& error)
 {
-    Json req = requestEnvelope("status");
+    Json req = makeEnvelope("status");
     req.set("id", Json::string(id));
     Json resp;
     if (!roundTrip(req, "status", timeout_ms_, resp, error))
@@ -159,7 +152,7 @@ bool
 Client::listJobs(std::vector<JobStatus>& out, std::string& error)
 {
     Json resp;
-    if (!roundTrip(requestEnvelope("status"), "status", timeout_ms_,
+    if (!roundTrip(makeEnvelope("status"), "status", timeout_ms_,
                    resp, error))
         return false;
     const Json* jobs = nullptr;
@@ -205,7 +198,7 @@ bool
 Client::results(const std::string& id,
                 std::vector<wire::ResultCell>& out, std::string& error)
 {
-    Json req = requestEnvelope("result");
+    Json req = makeEnvelope("result");
     req.set("id", Json::string(id));
     Json resp;
     if (!roundTrip(req, "result", timeout_ms_, resp, error))
@@ -226,7 +219,7 @@ Client::results(const std::string& id,
 bool
 Client::cancel(const std::string& id, std::string& error)
 {
-    Json req = requestEnvelope("cancel");
+    Json req = makeEnvelope("cancel");
     req.set("id", Json::string(id));
     Json resp;
     return roundTrip(req, "cancel", timeout_ms_, resp, error);
@@ -236,7 +229,7 @@ bool
 Client::stats(std::map<std::string, double>& out, std::string& error)
 {
     Json resp;
-    if (!roundTrip(requestEnvelope("stats"), "stats", timeout_ms_,
+    if (!roundTrip(makeEnvelope("stats"), "stats", timeout_ms_,
                    resp, error))
         return false;
     const Json* stats = nullptr;
@@ -258,7 +251,7 @@ bool
 Client::drain(int timeoutMs, std::string& error)
 {
     Json resp;
-    return roundTrip(requestEnvelope("drain"), "drain", timeoutMs,
+    return roundTrip(makeEnvelope("drain"), "drain", timeoutMs,
                      resp, error);
 }
 
@@ -322,7 +315,7 @@ Client::subscribe(const std::string& id, std::string& error)
         error = "already subscribed";
         return false;
     }
-    Json req = requestEnvelope("subscribe");
+    Json req = makeEnvelope("subscribe");
     req.set("id", Json::string(id));
     Json resp;
     if (!roundTrip(req, "subscribe", timeout_ms_, resp, error))
@@ -338,7 +331,7 @@ Client::unsubscribe(std::string& error)
         error = "not subscribed";
         return false;
     }
-    if (!sendAll(fd_.get(), requestEnvelope("unsubscribe").dump() + "\n",
+    if (!sendAll(fd_.get(), makeEnvelope("unsubscribe").dump() + "\n",
                  error))
         return false;
     // Frames already in flight interleave ahead of the response;

@@ -405,12 +405,7 @@ JobManager::publishStats(StatSet& set) const
             static_cast<double>(cellsCompleted_));
     set.set("serve.cache.hits", static_cast<double>(cache.hits));
     set.set("serve.cache.misses", static_cast<double>(cache.misses));
-    set.set("serve.cache.evictions",
-            static_cast<double>(cache.evictions));
-    set.set("serve.cache.evictedBytes",
-            static_cast<double>(cache.evictedBytes));
     set.set("serve.cache.entries", static_cast<double>(cache.entries));
-    set.set("serve.cache.bytes", static_cast<double>(cache.bytes));
     set.set("serve.cache.inFlight",
             static_cast<double>(cache.inFlight));
     set.set("serve.subscriptions.opened",

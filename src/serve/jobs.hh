@@ -8,7 +8,7 @@
  * dispatcher thread starts the highest-priority, oldest job whenever a
  * slot is free, so start order is exactly FIFO-within-priority. Each
  * started job runs as one pool task that walks its cells in bench-major
- * order through ExperimentRunner::runShared — the single-flight cache
+ * order through ExperimentRunner::runMetered — the single-flight cache
  * dedupes identical cells across concurrent jobs, and whole-job
  * duplicates are folded at admission by the canonical-spec key before
  * they ever reach the runner.

@@ -4,6 +4,7 @@
 #include "common/stats.hh"
 #include "serve/snapshot.hh"
 #include "serve/wire.hh"
+#include "serve/wire_detail.hh"
 
 namespace wg::serve {
 
@@ -12,9 +13,7 @@ namespace {
 Json
 responseEnvelope(const std::string& request)
 {
-    Json doc = Json::object();
-    doc.set("wire", Json::number(wire::kSchemaVersion));
-    doc.set("type", Json::string("response"));
+    Json doc = wire::detail::makeEnvelope("response");
     doc.set("request", Json::string(request));
     return doc;
 }

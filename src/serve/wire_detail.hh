@@ -1,8 +1,9 @@
 /**
  * @file
- * The wire-specific piece of the wire codecs (wire.cc, snapshot.cc):
- * the document envelope. The typed readers and the field-list codec
- * they use are common/codec.hh.
+ * The wire-specific piece of the wire codecs (wire.cc, snapshot.cc)
+ * and of the protocol's requests and responses: the document
+ * envelope. The typed readers and the field-list codec they use are
+ * common/codec.hh.
  *
  * This is an internal header: tools should speak through wire.hh /
  * snapshot.hh.

@@ -15,8 +15,8 @@ namespace {
 
 /**
  * Builds a SchedView from explicit (warp, head class) pairs listed in
- * least-recently-issued order; owns the lri storage the view points
- * into, so keep the builder alive while the view is in use.
+ * least-recently-issued order; `lri` keeps that order for
+ * Scheduler::order().
  */
 struct ViewBuilder
 {
@@ -38,10 +38,8 @@ struct ViewBuilder
     }
 
     const SchedView&
-    get()
+    get() const
     {
-        view.lri = lri.data();
-        view.numActive = lri.size();
         return view;
     }
 };
@@ -57,7 +55,7 @@ TEST(TwoLevel, OrderIsLriOrder)
         .add(2, UnitClass::Sfu);
     std::vector<WarpId> out;
     sched.beginCycle(0, b.get());
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     ASSERT_EQ(out.size(), 5u);
     EXPECT_EQ(out, (std::vector<WarpId>{3, 0, 4, 1, 2}))
         << "type-agnostic LRR order";
@@ -71,7 +69,7 @@ TEST(TwoLevel, NonReadyWarpsAreNotCandidates)
         .add(0, UnitClass::Int, /*ready=*/false)
         .add(4, UnitClass::Fp);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     EXPECT_EQ(out, (std::vector<WarpId>{3, 4}));
 }
 
@@ -108,7 +106,7 @@ TEST(Gates, OrderGroupsByClassPriority)
         .add(4, UnitClass::Int)
         .add(5, UnitClass::Fp);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     // INT first (warps 1, 4 in LRI order), then LDST (2), SFU (3),
     // then FP (0, 5).
     EXPECT_EQ(out, (std::vector<WarpId>{1, 4, 2, 3, 0, 5}));
@@ -126,7 +124,7 @@ TEST(Gates, OrderSkipsNonReadyWithinEveryClass)
         .add(4, UnitClass::Int)
         .add(5, UnitClass::Fp, /*ready=*/false);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     EXPECT_EQ(out, (std::vector<WarpId>{4, 2, 0}));
 }
 
@@ -137,7 +135,7 @@ TEST(Gates, OrderSingleReadyWarpFastPath)
     ViewBuilder b;
     b.add(7, UnitClass::Int, /*ready=*/false).add(9, UnitClass::Fp);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     EXPECT_EQ(out, (std::vector<WarpId>{9}));
 }
 
@@ -228,7 +226,7 @@ TEST(Gates, LdstOutranksSfu)
     ViewBuilder b;
     b.add(0, UnitClass::Sfu).add(1, UnitClass::Ldst);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     EXPECT_EQ(out, (std::vector<WarpId>{1, 0}));
 }
 
@@ -239,7 +237,7 @@ TEST(Gates, FpPriorityReversesIntAndFp)
     ViewBuilder b;
     b.add(0, UnitClass::Int).add(1, UnitClass::Fp);
     std::vector<WarpId> out;
-    sched.order(b.get(), out);
+    sched.order(b.get(), out, b.lri);
     EXPECT_EQ(out[0], 1u) << "FP is now highest priority";
     EXPECT_EQ(out[1], 0u) << "INT is now lowest priority";
 }
@@ -342,7 +340,7 @@ TEST(Gates, OrderMatchesAosReferenceRandomized)
         }
 
         std::vector<WarpId> out;
-        sched.order(v, out);
+        sched.order(v, out, b.lri);
         ASSERT_EQ(out, expect) << "iter " << iter;
     }
 }
@@ -383,7 +381,7 @@ TEST(IssueKey, KeyedBeforeMatchesOrderRandomized)
         for (std::size_t i = 0; i < b.lri.size(); ++i)
             stamp[b.lri[i]] = 100 + 3 * i; // any increasing stamps
         std::vector<WarpId> out;
-        sched.order(v, out);
+        sched.order(v, out, b.lri);
         const IssuePriority prio = sched.priority();
         WarpMask before = 0;
         for (WarpId w : out) {

@@ -162,7 +162,6 @@ TEST(ServeLoad, ThousandJobsFourPrioritiesHeavyDedup)
     // Single-flight accounting: each distinct cell simulated once.
     CacheStats cache = runner.cacheStats();
     EXPECT_EQ(cache.misses, kUniqueSpecs);
-    EXPECT_EQ(cache.evictions, 0u);
 
     gauges.clear();
     manager.publishStats(gauges);

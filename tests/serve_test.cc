@@ -6,6 +6,7 @@
  * byte-identity contract.
  */
 
+#include <chrono>
 #include <sstream>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "metrics/registry.hh"
 #include "report/export.hh"
 #include "serve/client.hh"
+#include "serve/jobs.hh"
 #include "serve/net.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
@@ -355,6 +357,106 @@ TEST(ServeClient, NonNumericStatIsAnErrorWithItsPath)
     EXPECT_FALSE(client.stats(stats, error));
     EXPECT_EQ(error, "$.stats.serve.state: expected a number");
     daemon.join();
+}
+
+// ---------------------------------------------------------------------
+// Resume seeding (manager-level, no sockets)
+// ---------------------------------------------------------------------
+
+/** Block until job @p id leaves the queue and finishes. */
+serve::JobState
+waitTerminal(const serve::JobManager& jobs, const std::string& id)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    for (;;) {
+        auto status = jobs.status(id);
+        if (!status)
+            return serve::JobState::Failed;
+        if (status->state != serve::JobState::Queued &&
+            status->state != serve::JobState::Running)
+            return status->state;
+        if (std::chrono::steady_clock::now() > deadline)
+            return status->state;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+}
+
+/** The job's cells as result documents, the way a checkpoint writes. */
+std::vector<std::string>
+resultDocs(const serve::JobManager& jobs, const std::string& id)
+{
+    std::vector<serve::JobCell> cells;
+    ExperimentOptions optsUsed;
+    std::string error;
+    EXPECT_TRUE(jobs.results(id, cells, optsUsed, error)) << error;
+    std::vector<std::string> docs;
+    for (const serve::JobCell& cell : cells)
+        docs.push_back(serve::wire::resultDoc(cell.bench, cell.technique,
+                                              optsUsed, *cell.result)
+                           .dump());
+    return docs;
+}
+
+TEST(ServeResume, SeedCellsSkipsUnknownBenchmarks)
+{
+    ExperimentRunner runner(tinyOptions(), nullptr);
+    serve::JobManager jobs(runner);
+    serve::wire::ResultCell known;
+    known.bench = "hotspot";
+    known.options = tinyOptions();
+    known.result.aggregate.completed = true;
+    serve::wire::ResultCell unknown = known;
+    unknown.bench = "no-such-bench";
+
+    EXPECT_EQ(jobs.seedCells({unknown, known}), 1u);
+    EXPECT_EQ(runner.cacheStats().entries, 1u)
+        << "the unknown benchmark never reached the cache";
+    EXPECT_EQ(jobs.seedCells({known}), 0u) << "already cached";
+}
+
+TEST(ServeResume, JobOverSeededCellsRecomputesNothing)
+{
+    const SweepSpec spec({"hotspot", "bfs"},
+                         {Technique::Baseline, Technique::WarpedGates},
+                         tinyOptions());
+
+    // A fresh compute, checkpointed to documents.
+    ExperimentRunner first(tinyOptions(), &ThreadPool::global());
+    std::vector<std::string> freshDocs;
+    {
+        serve::JobManager jobs(first);
+        auto outcome = jobs.submit(spec, 0);
+        ASSERT_TRUE(outcome.ok) << outcome.error;
+        ASSERT_EQ(waitTerminal(jobs, outcome.id), serve::JobState::Done);
+        freshDocs = resultDocs(jobs, outcome.id);
+    }
+    ASSERT_EQ(freshDocs.size(), 4u);
+    EXPECT_EQ(first.cacheStats().misses, 4u);
+
+    // Resume on a new runner: seed from the parsed documents, rerun.
+    std::vector<serve::wire::ResultCell> cells;
+    for (const std::string& text : freshDocs) {
+        Json doc;
+        std::string error;
+        ASSERT_TRUE(Json::parse(text, doc, error)) << error;
+        serve::wire::ResultCell cell;
+        ASSERT_TRUE(serve::wire::parseResultDoc(doc, cell, error))
+            << error;
+        cells.push_back(std::move(cell));
+    }
+    ExperimentRunner second(tinyOptions(), &ThreadPool::global());
+    serve::JobManager jobs(second);
+    EXPECT_EQ(jobs.seedCells(cells), 4u);
+    auto outcome = jobs.submit(spec, 0);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_EQ(waitTerminal(jobs, outcome.id), serve::JobState::Done);
+
+    CacheStats stats = second.cacheStats();
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.hits, 4u);
+    EXPECT_EQ(resultDocs(jobs, outcome.id), freshDocs)
+        << "seeded cells must serialize byte-identically";
 }
 
 } // namespace

@@ -6,12 +6,13 @@
  * OpenMetrics scrapes for any HTTP GET) on loopback. Jobs run through
  * the shared ExperimentRunner cache on the process thread pool, so
  * concurrent sweeps dedup both whole jobs (admission) and individual
- * cells (single-flight cache).
+ * cells (single-flight cache). Every result stays cached, and held by
+ * its jobs, for the life of the process.
  *
  * Examples:
  *   wgservd --port 7421
  *   wgservd --port 0                # pick a free port, printed on stdout
- *   wgservd --cache-entries 64 --queue-capacity 512
+ *   wgservd --queue-capacity 512 --max-concurrent 4
  *
  * SIGTERM/SIGINT drain gracefully: stop admitting, finish every queued
  * and running job, then exit (DESIGN.md §15).
@@ -40,10 +41,6 @@ constexpr FlagSpec kFlags[] = {
      "pool)"},
     {"priorities", FlagKind::Int, "4",
      "number of priority levels (valid priorities: 0..n-1)"},
-    {"cache-entries", FlagKind::Int, "0",
-     "result-cache entry cap (0 = unlimited)"},
-    {"cache-mb", FlagKind::Int, "0",
-     "result-cache size cap in MiB (0 = unlimited)"},
     {"sms", FlagKind::Int, "6",
      "default SMs per simulation (jobs may override)"},
     {"seed", FlagKind::Int, "1", "default experiment seed"},
@@ -99,12 +96,6 @@ main(int argc, char** argv)
     ThreadPool* pool =
         args.getBool("serial") ? nullptr : &ThreadPool::global();
     ExperimentRunner runner(opts, pool);
-    CacheLimits limits;
-    limits.maxEntries =
-        static_cast<std::size_t>(args.getInt("cache-entries"));
-    limits.maxBytes =
-        static_cast<std::size_t>(args.getInt("cache-mb")) << 20;
-    runner.setCacheLimits(limits);
 
     serve::ServerConfig config;
     config.port = static_cast<std::uint16_t>(args.getInt("port"));
