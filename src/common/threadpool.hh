@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared fixed-size work-stealing thread pool.
+ * Shared fixed-size FIFO thread pool.
  *
  * All simulator parallelism funnels through one pool sized to the
  * hardware (ThreadPool::global()): Gpu::runPrograms submits per-SM
@@ -9,12 +9,19 @@
  * busy without oversubscribing it the way one-OS-thread-per-SM
  * std::async did.
  *
- * Nested submission is deadlock-free by construction: each worker owns
- * a deque and steals from its siblings when drained, and a thread that
- * must block on a future calls wait(), which *helps* — it executes
- * queued tasks instead of sleeping. A pool of size 1 (or a pool task
- * that fans out sub-tasks) therefore still makes progress: the waiter
- * runs the work itself.
+ * Tasks wait in one FIFO queue, and an idle worker takes the oldest.
+ * Each queued task records its owner: the task that submitted it, or
+ * the submitting thread when that thread is not running a pool task.
+ * Owner ids come from one counter and are never reused.
+ *
+ * Nested submission is deadlock-free by isolation: wait() runs only
+ * the waiter's own queued children, newest first, and then blocks.
+ * Only the waiter can queue more of its own children, so once none is
+ * queued, each child it waits on is running on another thread. A
+ * waiter never runs a task that is not its child, so it never
+ * re-enters work it is itself part of (a single-flight owner cannot
+ * pick up a request for its own key). A pool of size 1, or a pool
+ * task that fans out sub-tasks, therefore still makes progress.
  */
 
 #pragma once
@@ -39,7 +46,6 @@ struct PoolStats
 {
     std::uint64_t tasksExecuted = 0; ///< tasks run to completion
     double busySeconds = 0.0;        ///< exclusive task time, workers only
-    std::uint64_t steals = 0;        ///< tasks taken from a sibling deque
     std::uint64_t queueDepth = 0;    ///< tasks queued, not yet started
     std::uint64_t active = 0;        ///< tasks currently executing
     unsigned threads = 0;            ///< worker-thread count
@@ -82,17 +88,23 @@ class ThreadPool
     }
 
     /**
-     * Block until @p fut is ready, executing queued pool tasks while
-     * waiting. Safe to call from inside a pool task (this is what makes
-     * nested fan-out deadlock-free).
+     * Block until @p fut is ready. While it is not, run the caller's
+     * own queued children (tasks submitted by the calling task, or by
+     * the calling thread outside any task), newest first; when none is
+     * left, block without polling. This is what makes nested fan-out
+     * deadlock-free.
+     *
+     * Precondition for a pool task: @p fut belongs to one of its own
+     * children. For any other future wait() only blocks, and a pool
+     * whose every worker so blocks on queued work deadlocks.
      */
     template <typename T>
     T wait(std::future<T>& fut)
     {
-        helpWhile([&fut] {
-            return fut.wait_for(std::chrono::seconds(0)) !=
-                   std::future_status::ready;
-        });
+        while (fut.wait_for(std::chrono::seconds(0)) !=
+                   std::future_status::ready &&
+               runOwnChild()) {
+        }
         return fut.get();
     }
 
@@ -106,12 +118,6 @@ class ThreadPool
             out.push_back(wait(f));
         return out;
     }
-
-    /**
-     * Pop-and-run one pending task (own deque first, then steal).
-     * @return false if every deque was empty.
-     */
-    bool tryRunOne();
 
     /**
      * Graceful shutdown: reject new external submissions and block
@@ -147,36 +153,37 @@ class ThreadPool
      * profiling estimate. Busy time is exclusive — a task that runs
      * nested tasks while it waits is not charged for them — and counts
      * worker threads only, so utilization = busySeconds /
-     * (elapsed * size()) stays within [0, 1]. queueDepth,
-     * active, steals, and draining are a point-in-time view taken
-     * under the pool lock.
+     * (elapsed * size()) stays within [0, 1]. queueDepth, active and
+     * draining are a point-in-time view taken under the pool lock.
+     * A task's future is ready before the task leaves these counters,
+     * so drain() first when exact totals matter.
      */
     PoolStats stats() const;
 
   private:
+    /** A queued task and the id of the task or thread that queued it. */
+    struct Task
+    {
+        std::function<void()> fn;
+        std::uint64_t owner = 0;
+    };
+
     void enqueue(std::function<void()> fn);
+    bool runOwnChild();
     void runTask(std::function<void()>& task);
     void finishTask();
-    void workerLoop(unsigned index);
-    bool popTask(unsigned preferred, std::function<void()>& out)
-        WG_REQUIRES(mu_);
-    bool pendingLocked() const WG_REQUIRES(mu_);
-    void helpWhile(const std::function<bool()>& busy);
+    void workerLoop();
 
-    // One deque per worker. A coarse lock keeps the stealing protocol
-    // simple (contention is negligible next to a simulation task);
-    // the per-worker split still gives submit/steal locality.
+    // One coarse lock: contention is negligible next to a simulation
+    // task.
     mutable Mutex mu_;
     CondVar cv_;
-    std::vector<std::deque<std::function<void()>>> deques_ WG_GUARDED_BY(mu_);
+    std::deque<Task> queue_ WG_GUARDED_BY(mu_); ///< oldest first
     std::vector<std::thread> workers_;
-    std::size_t next_ WG_GUARDED_BY(mu_) =
-        0; ///< round-robin target for external submits
     bool stop_ WG_GUARDED_BY(mu_) = false;
     bool draining_ WG_GUARDED_BY(mu_) =
         false; ///< drain() begun; external submits throw
     std::size_t active_ WG_GUARDED_BY(mu_) = 0; ///< tasks currently executing
-    std::uint64_t steals_ WG_GUARDED_BY(mu_) = 0; ///< cross-deque pops
     CondVar drain_cv_; ///< signalled as tasks finish
 
     // Self-profiling counters; relaxed atomics, the two are not a

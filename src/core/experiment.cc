@@ -73,11 +73,10 @@ ExperimentRunner::runInternal(
     CacheEntry& entry = it->second;
     if (!inserted) {
         // Single-flight: block until the owner publishes the entry.
-        // This deadlocks if the owner's own thread gets here: the
-        // owner's Gpu::run waits on its per-SM jobs with
-        // ThreadPool::wait, which help-runs other queued pool tasks,
-        // and a helped task that asks for this same key parks here
-        // above the frame that would set the entry ready.
+        // The owner is running, and it cannot be this thread: while
+        // its Gpu::run waits on its per-SM jobs, ThreadPool::wait runs
+        // only those jobs, never an unrelated task that could ask for
+        // this key. So the owner always finishes.
         ++stats_.hits;
         while (!entry.ready)
             ready_cv_.wait(lock);
@@ -160,9 +159,10 @@ ExperimentRunner::runAll(const SweepSpec& spec)
     }
 
     // One pool job per simulation. Each job may itself fan per-SM jobs
-    // into the same pool; submit() + wait() helping keeps that
-    // deadlock-free, and the cache's single-flight keeps duplicate
-    // keys (and concurrent external run() calls) from running twice.
+    // into the same pool; wait() runs only the waiter's own children,
+    // which keeps that deadlock-free, and the cache's single-flight
+    // keeps duplicate keys (and concurrent external run() calls) from
+    // running twice.
     std::vector<std::future<const SimResult*>> futures;
     futures.reserve(out.size());
     for (const std::string& bench : spec.benches)

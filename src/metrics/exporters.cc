@@ -121,8 +121,8 @@ constexpr HelpEntry kHelpCatalogue[] = {
     {"serve.",
      "wgservd job-manager gauges (queue, jobs, cells, result cache)"},
     {"pool.",
-     "shared thread-pool self-profiling (tasks, steals, queue depth,"
-     " drain state)"},
+     "shared thread-pool self-profiling (tasks, queue depth, drain"
+     " state)"},
 };
 
 const char*

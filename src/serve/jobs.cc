@@ -430,7 +430,6 @@ JobManager::publishStats(StatSet& set) const
         set.set("pool.tasksExecuted",
                 static_cast<double>(pool.tasksExecuted));
         set.set("pool.busySeconds", pool.busySeconds);
-        set.set("pool.steals", static_cast<double>(pool.steals));
         set.set("pool.queueDepth",
                 static_cast<double>(pool.queueDepth));
         set.set("pool.active", static_cast<double>(pool.active));

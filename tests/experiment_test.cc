@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -145,6 +147,44 @@ TEST(Experiment, EvictionNeverRacesInFlightCompute)
     EXPECT_EQ(stats.misses, std::uint64_t(kKeys));
     EXPECT_EQ(stats.hits + stats.misses, std::uint64_t(kThreads));
     EXPECT_EQ(stats.entries, std::uint64_t(kKeys));
+}
+
+TEST(Experiment, AliasWhileOwnerWaitsCompletes)
+{
+    // The owner of a key waits on its per-SM jobs in ThreadPool::wait.
+    // A second request for the key, queued in that window on a
+    // 1-worker pool, must wait for the owner: if the owner's wait()
+    // ran it, it would park on the entry above the frame that
+    // publishes it, and neither request would ever finish.
+    ThreadPool pool(1);
+    ExperimentOptions opts = fastOpts();
+    opts.numSms = 4;
+    ExperimentRunner runner(opts, &pool);
+    auto run = [&runner] {
+        return &runner.run("hotspot", Technique::WarpedGates);
+    };
+    auto owner = pool.submit(run);
+    // The owner is inside wait() once it runs a per-SM job (two tasks
+    // active on one worker) with more of them still queued.
+    for (;;) {
+        const PoolStats s = pool.stats();
+        if (runner.cacheStats().inFlight == 1 && s.active >= 2 &&
+            s.queueDepth >= 1)
+            break;
+        ASSERT_NE(owner.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "the owner finished before the test saw it wait";
+        std::this_thread::yield();
+    }
+    auto alias = pool.submit(run);
+    ASSERT_EQ(owner.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready);
+    ASSERT_EQ(alias.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready);
+    EXPECT_EQ(owner.get(), alias.get());
+    const CacheStats stats = runner.cacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(Experiment, ConcurrentDistinctKeysAllComplete)

@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the shared work-stealing thread pool: result
- * delivery, exception propagation, nested fan-out (the Gpu-inside-
- * ExperimentRunner shape), and deadlock-freedom at pool size 1.
+ * Unit tests for the shared FIFO thread pool: result delivery,
+ * exception propagation, nested fan-out (the Gpu-inside-
+ * ExperimentRunner shape), deadlock-freedom at pool size 1, and wait()
+ * running only the waiter's own children.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -73,7 +75,7 @@ TEST(ThreadPool, NestedFanOutDoesNotDeadlockAtSizeOne)
 {
     // The critical shape: a pool task fans sub-tasks into the same
     // pool and blocks on them. With one worker this can only complete
-    // if wait() helps execute queued work.
+    // if wait() runs the waiter's own queued children.
     ThreadPool pool(1);
     auto outer = pool.submit([&pool] {
         std::vector<std::future<int>> inner;
@@ -112,26 +114,42 @@ TEST(ThreadPool, TwoLevelNestingDrains)
     EXPECT_EQ(grand, 40 * 15 + 6 * 6);
 }
 
-TEST(ThreadPool, TryRunOneFromOutsideHelps)
+TEST(ThreadPool, WaitRunsOnlyItsOwnChildren)
 {
+    // A waits on its child c while an unrelated task B is queued. The
+    // one worker is A itself, so whatever A's wait() runs, it runs
+    // inside A. It must run c and never B: B could be a request A's
+    // caller is waiting for (the single-flight alias shape).
     ThreadPool pool(1);
-    std::atomic<bool> block{true};
-    // Occupy the single worker...
-    auto hog = pool.submit([&block] {
-        while (block.load())
-            std::this_thread::yield();
+    std::promise<void> child_queued;
+    std::promise<void> other_queued;
+    std::future<void> child_queued_f = child_queued.get_future();
+    std::future<void> other_queued_f = other_queued.get_future();
+    std::atomic<bool> in_a_wait{false};
+    std::atomic<bool> b_ran_inside_a{false};
+    std::atomic<bool> b_ran{false};
+    auto a = pool.submit([&] {
+        auto c = pool.submit([] { return 7; });
+        child_queued.set_value();
+        other_queued_f.wait();
+        in_a_wait = true;
+        const int got = pool.wait(c);
+        in_a_wait = false;
+        return got;
     });
-    // ...then drain a queued task from the caller thread.
-    std::atomic<bool> ran{false};
-    auto f = pool.submit([&ran] { ran = true; });
-    while (!ran.load()) {
-        if (!pool.tryRunOne())
-            std::this_thread::yield();
-    }
-    EXPECT_TRUE(ran.load());
-    block = false;
-    pool.wait(hog);
-    pool.wait(f);
+    child_queued_f.wait();
+    auto b = pool.submit([&] {
+        b_ran_inside_a = in_a_wait.load();
+        b_ran = true;
+    });
+    other_queued.set_value();
+    // Plain future waits: this thread must not run B itself.
+    a.wait();
+    b.wait();
+    EXPECT_EQ(a.get(), 7);
+    EXPECT_TRUE(b_ran.load());
+    EXPECT_FALSE(b_ran_inside_a.load())
+        << "wait() ran a task that is not the waiter's child";
 }
 
 TEST(ThreadPool, DestructionDrainsQueuedTasks)
@@ -231,6 +249,9 @@ TEST(ThreadPool, StatsReportThreadsTasksAndIdleState)
     for (int i = 0; i < 32; ++i)
         futs.push_back(pool.submit([i] { return i; }));
     pool.waitAll(futs);
+    // A future is ready before its worker has counted the task; drain
+    // until every runTask has recorded its counters.
+    pool.drain();
 
     PoolStats after = pool.stats();
     EXPECT_EQ(after.tasksExecuted, 32u);
@@ -238,13 +259,11 @@ TEST(ThreadPool, StatsReportThreadsTasksAndIdleState)
     // All tasks joined: nothing queued, nothing executing.
     EXPECT_EQ(after.queueDepth, 0u);
     EXPECT_EQ(after.active, 0u);
-    // Steals are timing-dependent; the counter only ever grows.
-    EXPECT_GE(after.steals, before.steals);
 }
 
 TEST(ThreadPool, NestedFanOutBusyTimeIsExclusive)
 {
-    // Outer tasks help run their inner tasks while they wait; charging
+    // Outer tasks run their inner tasks while they wait; charging
     // an outer task for that time would count the inner work twice.
     ThreadPool pool(2);
     const auto start = std::chrono::steady_clock::now();
