@@ -138,17 +138,19 @@ class MemorySystem
 
     /**
      * Record @p count issue attempts at cycle @p now rejected for MSHR
-     * capacity; traced, each is one MshrReject event.
+     * capacity. Traced, the whole tally is one MshrReject event with
+     * value = @p count; traced callers pass one tally of one cycle, at
+     * most one attempt per resident warp.
      */
     void
     noteRejects(std::uint64_t count, Cycle now = 0)
     {
         mshr_rejects_ += count;
-        if (trace_)
-            for (std::uint64_t i = 0; i < count; ++i)
-                trace_->record(now, trace::EventKind::MshrReject,
-                               static_cast<std::uint8_t>(UnitClass::Ldst),
-                               trace::kNoCluster, 0, outstanding());
+        if (trace_ && count > 0)
+            trace_->record(now, trace::EventKind::MshrReject,
+                           static_cast<std::uint8_t>(UnitClass::Ldst),
+                           trace::kNoCluster, 0,
+                           static_cast<std::uint32_t>(count));
     }
 
     /** Attach a trace recorder (null = tracing off). */

@@ -40,7 +40,8 @@ enum class EventKind : std::uint8_t {
     WarpMigrate,    ///< warp moved sets; arg = new WarpLoc, value = warp
     MshrFill,       ///< miss allocated an MSHR; value = outstanding now
     MshrDrain,      ///< miss retired its MSHR; value = outstanding now
-    MshrReject,     ///< LD/ST issue refused: MSHR pool full
+    MshrReject,     ///< LD/ST issues refused: MSHR pool full; one per
+                    ///< tally of a cycle, value = refused attempts
 };
 
 /** Number of distinct EventKind values. */
@@ -109,6 +110,16 @@ const char* wakeReasonName(WakeReason reason);
 bool parseEventKind(const char* name, EventKind& out);
 
 /**
+ * JSONL schema version the writer emits. Version 1 recorded one
+ * payload-less MshrReject per refused attempt; version 2 records one
+ * per tally and carries the attempt count.
+ */
+inline constexpr std::uint32_t kSchemaVersion = 2;
+
+/** Oldest schema version the JSONL reader accepts. */
+inline constexpr std::uint32_t kOldestSchemaVersion = 1;
+
+/**
  * Trace-wide metadata every sink emits ahead of the event stream and
  * the invariant checker needs to replay a run: the gating policy and
  * its parameters. Plain strings/integers so the trace subsystem stays
@@ -116,7 +127,7 @@ bool parseEventKind(const char* name, EventKind& out);
  */
 struct Meta
 {
-    std::uint32_t version = 1;  ///< schema version
+    std::uint32_t version = kSchemaVersion; ///< schema version
     std::string policy;         ///< pgPolicyName of the INT/FP domains
     std::string scheduler;      ///< schedulerPolicyName
     std::uint32_t numSms = 0;

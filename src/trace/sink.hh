@@ -68,19 +68,22 @@ struct JsonlRecord
 
 /**
  * Read the JSONL meta line (`{"meta":{...}}`); every Meta key is
- * required and range-checked.
+ * required and range-checked, and the version must be one this reader
+ * reads (kOldestSchemaVersion to kSchemaVersion).
  * @return false (with @p error set) when @p line is not a meta line.
  */
 bool parseJsonlMeta(const std::string& line, Meta& out,
                     std::string& error);
 
 /**
- * Read one JSONL body line. It must carry exactly the keys the writer
- * emits for it, each within its member's width.
+ * Read one JSONL body line of a schema-@p version trace (the meta
+ * line's version). It must carry exactly the keys that version's
+ * writer emits for it, each within its member's width. A v1
+ * `mshr-reject` line has no payload and reads as value = 1 attempt.
  * @return false (with @p error set) on a malformed line.
  */
-bool parseJsonlRecord(const std::string& line, JsonlRecord& out,
-                      std::string& error);
+bool parseJsonlRecord(const std::string& line, std::uint32_t version,
+                      JsonlRecord& out, std::string& error);
 
 } // namespace wg::trace
 
