@@ -70,6 +70,8 @@ struct SmSnapshot
 
     /** Trace section; present iff the SM had a recorder attached. */
     bool hasTrace = false;
+    /** trace::kSchemaVersion of the build that recorded traceEvents. */
+    std::uint32_t traceSchema = 0;
     std::vector<trace::Event> traceEvents; ///< retained, oldest first
     std::uint64_t traceOverwritten = 0;    ///< pre-checkpoint ring loss
 
@@ -103,6 +105,7 @@ struct SmSnapshot
             field("pg", &S::pg),
             field("stats", &S::stats),
             field("hasTrace", &S::hasTrace),
+            field("traceSchema", &S::traceSchema).onlyIf(&S::hasTrace),
             field("traceEvents", &S::traceEvents).onlyIf(&S::hasTrace),
             field("traceOverwritten", &S::traceOverwritten)
                 .onlyIf(&S::hasTrace),

@@ -419,6 +419,44 @@ TEST(SnapshotRestore, RejectsTraceOverflowingTheRing)
         << error;
 }
 
+TEST(SnapshotRestore, RefusesTraceSectionOfAnotherSchema)
+{
+    trace::Collector tracer;
+    SimSession first = SimSession::open(profile("hotspot"), config(),
+                                        nullptr, &tracer);
+    first.runUntil(512);
+    const GpuSnapshot snap = first.snapshot();
+    ASSERT_EQ(snap.sms[0].traceSchema, trace::kSchemaVersion);
+
+    // A v1 build's traced section: its rejects were one per attempt.
+    GpuSnapshot v1 = snap;
+    v1.sms[0].traceSchema = 1;
+    trace::Collector resumed;
+    std::string error;
+    EXPECT_EQ(SimSession::restore(v1, profile("hotspot"), config(),
+                                  nullptr, &resumed, nullptr, &error),
+              nullptr);
+    EXPECT_NE(error.find("trace section has schema 1"), std::string::npos)
+        << error;
+
+    // A document without the member, as a v1 build wrote it, does not
+    // decode.
+    std::string bytes = serve::wire::gpuSnapshotToJson(snap).dump();
+    const std::string member =
+        "\"traceSchema\":" + std::to_string(trace::kSchemaVersion) + ",";
+    ASSERT_NE(bytes.find(member), std::string::npos);
+    bytes.erase(bytes.find(member), member.size());
+    Json doc;
+    ASSERT_TRUE(Json::parse(bytes, doc, error,
+                            serve::wire::snapshotJsonLimits()))
+        << error;
+    GpuSnapshot reloaded;
+    error.clear();
+    EXPECT_FALSE(
+        serve::wire::gpuSnapshotFromJson(doc, "$", reloaded, error));
+    EXPECT_NE(error.find("traceSchema"), std::string::npos) << error;
+}
+
 TEST(SnapshotRestore, SnapshotOfRestoredSessionIsIdentical)
 {
     // snapshot(restore(snapshot(s))) == snapshot(s): restoring loses
