@@ -19,6 +19,7 @@
 #include "arch/instr.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "sched/bitmask.hh"
 #include "trace/recorder.hh"
 
 namespace wg {
@@ -138,19 +139,22 @@ class MemorySystem
 
     /**
      * Record @p count issue attempts at cycle @p now rejected for MSHR
-     * capacity. Traced, the whole tally is one MshrReject event with
-     * value = @p count; traced callers pass one tally of one cycle, at
-     * most one attempt per resident warp.
+     * capacity. Traced callers pass one tally of one cycle, at most one
+     * attempt per resident warp; the recorder extends the open
+     * MshrReject run when the previous cycle refused as many attempts,
+     * else opens a new run (arg = @p count, value = cycles).
      */
     void
     noteRejects(std::uint64_t count, Cycle now = 0)
     {
+        static_assert(kMaxWarpsPerSm <= UINT8_MAX,
+                      "a tally refuses at most one attempt per resident "
+                      "warp; its count must fit Event::arg");
         mshr_rejects_ += count;
         if (trace_ && count > 0)
-            trace_->record(now, trace::EventKind::MshrReject,
-                           static_cast<std::uint8_t>(UnitClass::Ldst),
-                           trace::kNoCluster, 0,
-                           static_cast<std::uint32_t>(count));
+            trace_->recordReject(now,
+                                 static_cast<std::uint8_t>(UnitClass::Ldst),
+                                 static_cast<std::uint8_t>(count));
     }
 
     /** Attach a trace recorder (null = tracing off). */

@@ -649,9 +649,9 @@ Sm::tryFastForward()
     // wakeup request — ends the analysis, and a busy port bounds the
     // span where it frees. MSHR-refused LD/ST attempts are the one
     // replayable side effect: count them per cycle so fastForward can
-    // reproduce the tally (and, traced, each cycle's MshrReject event
-    // carrying it). A zero-issue cycle probes every ready warp in one
-    // tally, so the count is the whole refused mask.
+    // reproduce the tally (and, traced, each cycle's extension of the
+    // MshrReject run). A zero-issue cycle probes every ready warp in
+    // one tally, so the count is the whole refused mask.
     std::uint64_t reject_attempts = 0;
     for (std::size_t c = 0; c < kNumUnitClasses; ++c) {
         if (view.readyMask[c] == 0)
@@ -726,12 +726,13 @@ Sm::replayTraced(Cycle n, const SchedView& view,
                  std::uint64_t reject_attempts, Cycle busy)
 {
     // Each replayed cycle records what its step would have, in step
-    // order: the scheduler's beginCycle events, then the one MshrReject
-    // of the cycle's single tally (its value, the refused attempts, is
-    // constant over the span), then the LD/ST UnitIdle that opens an
-    // idle run. Cycles without per-cycle rejects replay the scheduler
-    // in bulk. No UnitBusy can fall inside: a pipeline busy at the
-    // span's start was busy at the boundary step, which closed any run.
+    // order: the scheduler's beginCycle events, then the cycle's single
+    // tally (its refused attempts are constant over the span, so it
+    // grows the MshrReject run unless an event came between), then the
+    // LD/ST UnitIdle that opens an idle run. Cycles without per-cycle
+    // rejects replay the scheduler in bulk. No UnitBusy can fall
+    // inside: a pipeline busy at the span's start was busy at the
+    // boundary step, which closed any run.
     const Cycle idle_from = now_ + busy;
     const bool opens_idle = busy < n && ldst_idle_run_ == 0;
     auto replay = [&](Cycle from, Cycle len) {
@@ -932,7 +933,8 @@ Sm::restore(const SmSnapshot& snap, std::string* error)
                         : "a recorder is attached but the snapshot has "
                           "no trace section");
     // Other schemas gave events other meanings (v1: one MshrReject per
-    // attempt); resuming them would mix two schemas in one trace.
+    // attempt, v2: one per tally); resuming them would mix two schemas
+    // in one trace.
     if (snap.hasTrace && snap.traceSchema != trace::kSchemaVersion)
         return fail("snapshot trace section has schema " +
                     std::to_string(snap.traceSchema) +

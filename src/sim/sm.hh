@@ -202,8 +202,8 @@ class Sm
 
     /**
      * Apply the side effects of probing the warps in @p probed without
-     * issuing: one MSHR reject count per refused load (traced, one
-     * MshrReject event carrying the tally), and per blocked ALU/SFU
+     * issuing: one MSHR reject count per refused load (traced, the
+     * tally opens or extends an MshrReject run), and per blocked ALU/SFU
      * head one count on wakeupRequests (the request itself is a flag,
      * raised once per class).
      */

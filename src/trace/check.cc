@@ -134,8 +134,10 @@ InvariantChecker::feed(SmId sm, const Event& e)
     noteSeen(sm);
     ++events_;
     ++by_kind_[static_cast<std::size_t>(e.kind)];
-    if (e.kind == EventKind::MshrReject)
-        reject_attempts_ += e.value;
+    if (e.kind == EventKind::MshrReject) {
+        reject_cycles_ += e.value;
+        reject_attempts_ += std::uint64_t{e.arg} * e.value;
+    }
     if (truncated(sm))
         return;
 

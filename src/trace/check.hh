@@ -76,7 +76,11 @@ class InvariantChecker
         return by_kind_[static_cast<std::size_t>(kind)];
     }
 
-    /** Refused LD/ST attempts: the summed MshrReject values. */
+    /** Stalled cycles: the summed MshrReject run lengths. */
+    std::uint64_t rejectCycles() const { return reject_cycles_; }
+
+    /** Refused LD/ST attempts: the summed attempts x cycles of the
+     *  MshrReject runs. */
     std::uint64_t rejectAttempts() const { return reject_attempts_; }
 
     /** SMs marked truncated, whose invariants went unchecked. */
@@ -138,6 +142,7 @@ class InvariantChecker
     std::vector<std::string> warnings_;
     std::uint64_t events_ = 0;
     std::array<std::uint64_t, kNumEventKinds> by_kind_ = {};
+    std::uint64_t reject_cycles_ = 0;
     std::uint64_t reject_attempts_ = 0;
 };
 

@@ -41,7 +41,9 @@ enum class EventKind : std::uint8_t {
     MshrFill,       ///< miss allocated an MSHR; value = outstanding now
     MshrDrain,      ///< miss retired its MSHR; value = outstanding now
     MshrReject,     ///< LD/ST issues refused: MSHR pool full; one per
-                    ///< tally of a cycle, value = refused attempts
+                    ///< run of consecutive cycles with equal tallies,
+                    ///< arg = refused attempts per cycle,
+                    ///< value = cycles in the run
 };
 
 /** Number of distinct EventKind values. */
@@ -111,10 +113,11 @@ bool parseEventKind(const char* name, EventKind& out);
 
 /**
  * JSONL schema version the writer emits. Version 1 recorded one
- * payload-less MshrReject per refused attempt; version 2 records one
- * per tally and carries the attempt count.
+ * payload-less MshrReject per refused attempt; version 2 one per tally
+ * carrying its attempt count; version 3 one per run of equal tallies
+ * carrying the attempts per cycle and the run's length in cycles.
  */
-inline constexpr std::uint32_t kSchemaVersion = 2;
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 /** Oldest schema version the JSONL reader accepts. */
 inline constexpr std::uint32_t kOldestSchemaVersion = 1;

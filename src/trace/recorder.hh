@@ -13,11 +13,16 @@
  * events are overwritten (the most recent window is what post-mortem
  * debugging wants) and `overwritten()` reports how many were lost so
  * sinks and the invariant checker can flag truncated streams.
+ *
+ * An MSHR-full stall spans cycles, so it is recorded as runs: one
+ * MshrReject per run of consecutive cycles refusing the same number of
+ * attempts (recordReject), grown in place while the stall lasts.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -41,12 +46,20 @@ class Recorder
   public:
     Recorder(SmId sm, std::size_t capacity);
 
-    /** Append one event (overwrites the oldest when full). */
+    /**
+     * Append one event (overwrites the oldest when full). An
+     * MshrReject becomes the open run; overwriting the open run's slot
+     * closes it.
+     */
     void
     record(Cycle cycle, EventKind kind, std::uint8_t unit = kNoUnit,
            std::uint8_t cluster = kNoCluster, std::uint8_t arg = 0,
            std::uint32_t value = 0)
     {
+        if (kind == EventKind::MshrReject)
+            open_ = next_;
+        else if (next_ == open_)
+            open_ = kNoRun;
         Event& e = ring_[next_];
         e.cycle = cycle;
         e.kind = kind;
@@ -59,6 +72,28 @@ class Recorder
             ++size_;
         else
             ++overwritten_;
+    }
+
+    /**
+     * Record one tally of @p attempts MSHR-refused issue attempts at
+     * @p cycle. The open run (the newest retained MshrReject) grows by
+     * one cycle when it ends at @p cycle with the same attempts;
+     * otherwise a new run of one cycle opens. Other events may fall
+     * between a run's cycles.
+     */
+    void
+    recordReject(Cycle cycle, std::uint8_t unit, std::uint8_t attempts)
+    {
+        if (open_ != kNoRun) {
+            Event& run = ring_[open_];
+            if (run.arg == attempts && run.cycle + run.value == cycle &&
+                run.value != UINT32_MAX) {
+                ++run.value;
+                return;
+            }
+        }
+        record(cycle, EventKind::MshrReject, unit, kNoCluster, attempts,
+               1);
     }
 
     SmId sm() const { return sm_; }
@@ -78,13 +113,15 @@ class Recorder
      * Rebuild the ring from a checkpoint: re-record @p events (oldest
      * first) into an empty ring and carry over the pre-checkpoint
      * wrap-around loss, so a resumed trace serializes byte-identically
-     * to the uninterrupted one.
+     * to the uninterrupted one. Re-recording reopens the newest
+     * MshrReject, so a run cut by the checkpoint keeps growing.
      */
     void
     restore(const std::vector<Event>& events, std::uint64_t overwritten)
     {
         next_ = 0;
         size_ = 0;
+        open_ = kNoRun;
         overwritten_ = overwritten;
         for (const Event& e : events)
             record(e.cycle, e.kind, e.unit, e.cluster, e.arg, e.value);
@@ -107,6 +144,8 @@ class Recorder
     }
 
   private:
+    static constexpr std::size_t kNoRun = SIZE_MAX;
+
     SmId sm_;
     /** Frees the ring's raw storage. */
     struct RawDelete
@@ -122,6 +161,8 @@ class Recorder
     std::unique_ptr<Event[], RawDelete> ring_;
     std::size_t capacity_;
     std::size_t next_ = 0;
+    /** Slot of the open MshrReject run, or kNoRun. */
+    std::size_t open_ = kNoRun;
     std::size_t size_ = 0;
     std::uint64_t overwritten_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <string_view>
 #include <vector>
@@ -57,7 +58,7 @@ constexpr std::array<PayloadKeys, kNumEventKinds> kPayload = {{
     {"loc", ArgForm::WarpLoc, "warp"},               // WarpMigrate
     {nullptr, ArgForm::Number, "outstanding"},       // MshrFill
     {nullptr, ArgForm::Number, "outstanding"},       // MshrDrain
-    {nullptr, ArgForm::Number, "attempts"},          // MshrReject
+    {"attempts", ArgForm::Number, "cycles"},         // MshrReject
 }};
 
 const PayloadKeys&
@@ -392,6 +393,14 @@ parseEvent(const Json& doc, const std::string& path,
             ++keys;
         }
     }
+    // Before v3 an mshr-reject line stood for one cycle: v1 for one
+    // refused attempt, v2 for one tally carrying its "attempts".
+    const bool reject = e.kind == EventKind::MshrReject;
+    if (reject && version == 1) {
+        e.arg = 1;
+        e.value = 1;
+        return true;
+    }
     const PayloadKeys& p = payloadKeys(e.kind);
     if (p.argKey != nullptr) {
         ++keys;
@@ -406,8 +415,7 @@ parseEvent(const Json& doc, const std::string& path,
                               "unknown name '" + name + "'");
         }
     }
-    // Schema v1 wrote one payload-less line per refused attempt.
-    if (version == 1 && e.kind == EventKind::MshrReject) {
+    if (reject && version == 2) {
         e.value = 1;
         return true;
     }
@@ -416,6 +424,9 @@ parseEvent(const Json& doc, const std::string& path,
         if (!decodeMember(doc, at, p.valueKey, e.value, error))
             return false;
     }
+    if (reject && (e.arg == 0 || e.value == 0))
+        return failAt(error, path,
+                      "an mshr-reject run needs attempts and cycles");
     return true;
 }
 
@@ -528,32 +539,11 @@ writeEpochCsv(std::ostream& os, const Collector& collector)
         const Recorder* r = collector.recorder(s);
         if (!r)
             continue;
-        EpochRow row;
-        std::int64_t epoch = -1;
-        auto flush = [&]() {
-            if (epoch < 0)
-                return;
-            os << s << "," << epoch << ","
-               << static_cast<Cycle>(epoch) * epoch_len;
-            for (std::uint64_t v : row.issues)
-                os << "," << v;
-            os << "," << row.gates << "," << row.betExpiries << ","
-               << row.wakeups << "," << row.criticals << "," << row.denied
-               << "," << row.mshrFills << "," << row.mshrRejects << ",";
-            if (row.windowInt >= 0)
-                os << row.windowInt;
-            os << ",";
-            if (row.windowFp >= 0)
-                os << row.windowFp;
-            os << "\n";
-        };
+        // A reject run can reach past the epochs of later events, so an
+        // SM's rows are kept, by epoch, until its last event.
+        std::map<Cycle, EpochRow> rows;
         r->forEach([&](const Event& e) {
-            auto ep = static_cast<std::int64_t>(e.cycle / epoch_len);
-            if (ep != epoch) {
-                flush();
-                epoch = ep;
-                row = EpochRow();
-            }
+            EpochRow& row = rows[e.cycle / epoch_len];
             switch (e.kind) {
               case EventKind::Issue:
                 if (e.unit < kNumUnitClasses)
@@ -569,7 +559,15 @@ writeEpochCsv(std::ostream& os, const Collector& collector)
               case EventKind::WakeupDenied: ++row.denied; break;
               case EventKind::MshrFill: ++row.mshrFills; break;
               case EventKind::MshrReject:
-                row.mshrRejects += e.value;
+                // Each epoch the run reaches gets its cycles there
+                // times the attempts per cycle.
+                for (Cycle c = e.cycle, end = e.cycle + e.value; c < end;) {
+                    const Cycle upto =
+                        std::min(end, (c / epoch_len + 1) * epoch_len);
+                    rows[c / epoch_len].mshrRejects +=
+                        (upto - c) * std::uint64_t{e.arg};
+                    c = upto;
+                }
                 break;
               case EventKind::EpochUpdate:
                 if (e.unit == static_cast<std::uint8_t>(UnitClass::Int))
@@ -582,7 +580,20 @@ writeEpochCsv(std::ostream& os, const Collector& collector)
                 break;
             }
         });
-        flush();
+        for (const auto& [epoch, row] : rows) {
+            os << s << "," << epoch << "," << epoch * epoch_len;
+            for (std::uint64_t v : row.issues)
+                os << "," << v;
+            os << "," << row.gates << "," << row.betExpiries << ","
+               << row.wakeups << "," << row.criticals << "," << row.denied
+               << "," << row.mshrFills << "," << row.mshrRejects << ",";
+            if (row.windowInt >= 0)
+                os << row.windowInt;
+            os << ",";
+            if (row.windowFp >= 0)
+                os << row.windowFp;
+            os << "\n";
+        }
     }
 }
 

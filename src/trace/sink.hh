@@ -78,8 +78,11 @@ bool parseJsonlMeta(const std::string& line, Meta& out,
 /**
  * Read one JSONL body line of a schema-@p version trace (the meta
  * line's version). It must carry exactly the keys that version's
- * writer emits for it, each within its member's width. A v1
- * `mshr-reject` line has no payload and reads as value = 1 attempt.
+ * writer emits for it, each within its member's width. An
+ * `mshr-reject` reads as a run (arg = attempts per cycle, value =
+ * cycles): a v1 line has no payload and is 1 attempt for 1 cycle, a
+ * v2 line its `attempts` for 1 cycle, a v3 line needs `attempts` and
+ * `cycles`, both nonzero.
  * @return false (with @p error set) on a malformed line.
  */
 bool parseJsonlRecord(const std::string& line, std::uint32_t version,

@@ -428,16 +428,22 @@ TEST(SnapshotRestore, RefusesTraceSectionOfAnotherSchema)
     const GpuSnapshot snap = first.snapshot();
     ASSERT_EQ(snap.sms[0].traceSchema, trace::kSchemaVersion);
 
-    // A v1 build's traced section: its rejects were one per attempt.
-    GpuSnapshot v1 = snap;
-    v1.sms[0].traceSchema = 1;
-    trace::Collector resumed;
+    // A v1 build's traced section had one reject per attempt, a v2
+    // build's one per tally.
+    for (std::uint32_t schema : {1u, 2u}) {
+        GpuSnapshot old = snap;
+        old.sms[0].traceSchema = schema;
+        trace::Collector resumed;
+        std::string error;
+        EXPECT_EQ(SimSession::restore(old, profile("hotspot"), config(),
+                                      nullptr, &resumed, nullptr, &error),
+                  nullptr);
+        EXPECT_NE(error.find("trace section has schema " +
+                             std::to_string(schema)),
+                  std::string::npos)
+            << error;
+    }
     std::string error;
-    EXPECT_EQ(SimSession::restore(v1, profile("hotspot"), config(),
-                                  nullptr, &resumed, nullptr, &error),
-              nullptr);
-    EXPECT_NE(error.find("trace section has schema 1"), std::string::npos)
-        << error;
 
     // A document without the member, as a v1 build wrote it, does not
     // decode.

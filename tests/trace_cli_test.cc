@@ -114,7 +114,7 @@ TEST_F(TraceCli, TruncatedSmFailsTheCheck)
     const std::string path = dir_ + "truncated.jsonl";
     writeLines(path, {recorded[0], R"({"sm":0,"truncated":123456})",
                       R"({"sm":0,"cycle":9000,"kind":"unit-idle","unit":"INT","cluster":0})",
-                      R"({"sm":0,"cycle":9001,"kind":"mshr-reject","unit":"LDST","attempts":3})",
+                      R"({"sm":0,"cycle":9001,"kind":"mshr-reject","unit":"LDST","attempts":3,"cycles":2})",
                       R"({"sm":1,"cycle":9000,"kind":"unit-idle","unit":"FP","cluster":1})"});
     const ToolRun r = check(path);
     EXPECT_EQ(r.exitCode, 1) << r.output;
@@ -126,8 +126,8 @@ TEST_F(TraceCli, TruncatedSmFailsTheCheck)
     EXPECT_EQ(r.output.find("all gating invariants hold"),
               std::string::npos)
         << r.output;
-    // The summary counts refused attempts beside reject events.
-    EXPECT_NE(r.output.find("mshr-reject: 1 (3 attempts)"),
+    // The summary counts a reject run's cycles and refused attempts.
+    EXPECT_NE(r.output.find("mshr-reject: 1 runs, 2 cycles, 6 attempts"),
               std::string::npos)
         << r.output;
 }
@@ -152,15 +152,15 @@ TEST_F(TraceCli, UnknownSchemaVersionExitsTwo)
 {
     std::vector<std::string> lines = readLines(trace());
     ASSERT_FALSE(lines.empty());
-    const std::string current = "\"version\":2,";
+    const std::string current = "\"version\":3,";
     const std::size_t at = lines[0].find(current);
     ASSERT_NE(at, std::string::npos) << lines[0];
-    lines[0].replace(at, current.size(), "\"version\":3,");
+    lines[0].replace(at, current.size(), "\"version\":4,");
     const std::string path = dir_ + "future.jsonl";
     writeLines(path, lines);
     const ToolRun r = check(path);
     EXPECT_EQ(r.exitCode, 2) << r.output;
-    EXPECT_NE(r.output.find("unsupported trace schema version 3"),
+    EXPECT_NE(r.output.find("unsupported trace schema version 4"),
               std::string::npos)
         << r.output;
 }

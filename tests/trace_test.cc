@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -83,6 +84,107 @@ TEST(Recorder, EventPayloadRoundTrips)
     EXPECT_EQ(e.arg,
               static_cast<std::uint8_t>(trace::GateReason::CoordDrain));
     EXPECT_EQ(e.value, 77u);
+}
+
+// ---- MshrReject runs ----
+
+constexpr std::uint8_t kLdst = static_cast<std::uint8_t>(UnitClass::Ldst);
+
+/** "<cycle>:<kind>[:<attempts>x<cycles>]" per retained event. */
+std::vector<std::string>
+describe(const trace::Recorder& rec)
+{
+    std::vector<std::string> out;
+    rec.forEach([&](const Event& e) {
+        std::string d =
+            std::to_string(e.cycle) + ":" + trace::eventKindName(e.kind);
+        if (e.kind == EventKind::MshrReject)
+            d += ":" + std::to_string(e.arg) + "x" +
+                 std::to_string(e.value);
+        out.push_back(d);
+    });
+    return out;
+}
+
+TEST(RejectRun, ExtendsAcrossInterleavedEvents)
+{
+    trace::Recorder rec(0, 16);
+    rec.recordReject(10, kLdst, 3);
+    rec.record(10, EventKind::PrioritySwitch, 0);
+    rec.recordReject(11, kLdst, 3);
+    rec.record(12, EventKind::UnitIdle, kLdst, 0);
+    rec.recordReject(12, kLdst, 3);
+    const std::vector<std::string> want = {"10:mshr-reject:3x3",
+                                           "10:priority-switch",
+                                           "12:unit-idle"};
+    EXPECT_EQ(describe(rec), want);
+    const Event run = rec.events()[0];
+    EXPECT_EQ(run.unit, kLdst);
+    EXPECT_EQ(run.cluster, trace::kNoCluster);
+}
+
+TEST(RejectRun, NewRunOnAttemptsChangeGapOrSecondTally)
+{
+    trace::Recorder rec(0, 16);
+    rec.recordReject(10, kLdst, 3);
+    rec.recordReject(11, kLdst, 4); // attempts change
+    rec.recordReject(12, kLdst, 4);
+    rec.recordReject(14, kLdst, 4); // cycle gap
+    rec.recordReject(14, kLdst, 4); // second tally in the same cycle
+    rec.recordReject(15, kLdst, 4); // extends the newest run only
+    const std::vector<std::string> want = {
+        "10:mshr-reject:3x1", "11:mshr-reject:4x2", "14:mshr-reject:4x1",
+        "14:mshr-reject:4x2"};
+    EXPECT_EQ(describe(rec), want);
+}
+
+TEST(RejectRun, WrapThatOverwritesTheOpenRunClosesIt)
+{
+    trace::Recorder rec(0, 3);
+    rec.recordReject(10, kLdst, 1);
+    rec.record(10, EventKind::UnitIdle, kLdst, 0);
+    rec.record(10, EventKind::PrioritySwitch, 0);
+    // Overwrites the run's slot with an event that, read as a run,
+    // would end at cycle 11 with 1 attempt.
+    rec.record(10, EventKind::WarpMigrate, trace::kNoUnit,
+               trace::kNoCluster, 1, 1);
+    EXPECT_EQ(rec.overwritten(), 1u);
+    rec.recordReject(11, kLdst, 1);
+    const std::vector<std::string> want = {
+        "10:priority-switch", "10:warp-migrate", "11:mshr-reject:1x1"};
+    EXPECT_EQ(describe(rec), want);
+    EXPECT_EQ(rec.events()[1].value, 1u) << "the migrated warp is kept";
+
+    // A run that survives the wrap still grows in its new position.
+    rec.recordReject(12, kLdst, 1);
+    rec.record(12, EventKind::UnitIdle, kLdst, 0);
+    rec.recordReject(13, kLdst, 1);
+    const std::vector<std::string> grown = {
+        "10:warp-migrate", "11:mshr-reject:1x3", "12:unit-idle"};
+    EXPECT_EQ(describe(rec), grown);
+}
+
+TEST(RejectRun, RestoreReopensTheNewestRun)
+{
+    trace::Recorder rec(0, 16);
+    rec.recordReject(10, kLdst, 5);
+    rec.recordReject(11, kLdst, 5);
+    rec.record(11, EventKind::UnitIdle, kLdst, 0);
+
+    trace::Recorder resumed(0, 16);
+    resumed.restore(rec.events(), rec.overwritten());
+    for (trace::Recorder* r : {&rec, &resumed})
+        r->recordReject(12, kLdst, 5);
+    const std::vector<std::string> want = {"10:mshr-reject:5x3",
+                                           "11:unit-idle"};
+    EXPECT_EQ(describe(rec), want);
+    EXPECT_EQ(describe(resumed), want);
+
+    // Restoring a second time resets the open run with the ring.
+    resumed.restore({}, 0);
+    resumed.recordReject(13, kLdst, 5);
+    EXPECT_EQ(describe(resumed),
+              std::vector<std::string>{"13:mshr-reject:5x1"});
 }
 
 TEST(Collector, PrepareCreatesOneRecorderPerSm)
@@ -420,9 +522,16 @@ TEST(JsonlReader, RejectsOutOfRangeAndUnexpectedMembers)
         R"({"sm":0,"cycle":0x10,"kind":"unit-idle"})",
         R"({"sm":0,"cycle":5,"kind":"unit-idle"} trailing)",
         "",
-        // A v2 reject must say how many attempts it stands for.
+        // A reject run must say how many attempts per cycle it stands
+        // for, and over how many cycles.
         R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST"})",
-        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":-1})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":3})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","cycles":3})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":-1,"cycles":1})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":256,"cycles":1})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":0,"cycles":1})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":1,"cycles":0})",
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":1,"cycles":4294967296})",
     };
     for (const char* line : bad) {
         error.clear();
@@ -439,20 +548,34 @@ TEST(JsonlReader, ReadsRejectsAsEachSchemaVersionWroteThem)
         R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST"})";
     const std::string v2 =
         R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":7})";
+    const std::string v3 =
+        R"({"sm":0,"cycle":5,"kind":"mshr-reject","unit":"LDST","attempts":7,"cycles":46})";
     trace::JsonlRecord rec;
     std::string error;
     // v1 wrote one payload-less line per refused attempt.
     ASSERT_TRUE(trace::parseJsonlRecord(v1, 1, rec, error)) << error;
     EXPECT_EQ(rec.event.kind, EventKind::MshrReject);
+    EXPECT_EQ(rec.event.arg, 1u);
     EXPECT_EQ(rec.event.value, 1u);
     EXPECT_FALSE(trace::parseJsonlRecord(v2, 1, rec, error))
         << "v1 never wrote an attempt count";
+    // v2 wrote one line per tally: a one-cycle run.
     ASSERT_TRUE(trace::parseJsonlRecord(v2, 2, rec, error)) << error;
-    EXPECT_EQ(rec.event.value, 7u);
-    EXPECT_EQ(trace::eventToJson(0, rec.event), v2);
+    EXPECT_EQ(rec.event.arg, 7u);
+    EXPECT_EQ(rec.event.value, 1u);
+    EXPECT_FALSE(trace::parseJsonlRecord(v3, 2, rec, error))
+        << "v2 never wrote a run length";
     error.clear();
     EXPECT_FALSE(trace::parseJsonlRecord(v1, 2, rec, error));
     EXPECT_NE(error.find("attempts"), std::string::npos) << error;
+    // v3 writes one line per run.
+    ASSERT_TRUE(trace::parseJsonlRecord(v3, 3, rec, error)) << error;
+    EXPECT_EQ(rec.event.arg, 7u);
+    EXPECT_EQ(rec.event.value, 46u);
+    EXPECT_EQ(trace::eventToJson(0, rec.event), v3);
+    error.clear();
+    EXPECT_FALSE(trace::parseJsonlRecord(v2, 3, rec, error));
+    EXPECT_NE(error.find("cycles"), std::string::npos) << error;
 }
 
 TEST(JsonlReader, MetaVersionOutsideTheReadRangeIsACleanError)
@@ -534,7 +657,7 @@ goldenRun(GpuConfig config)
 }
 
 /**
- * The bytes of tests/golden/trace_jsonl_v2.jsonl: two complete JSONL
+ * The bytes of tests/golden/trace_jsonl_v3.jsonl: two complete JSONL
  * traces back to back. WarpedGates (GATES scheduler, coordinated
  * blackout, adaptive window) records priority switches and
  * coordinated-drain gates; GTO over conventional INT/FP/SFU gating
@@ -552,7 +675,7 @@ goldenTraces()
 TEST(JsonlGolden, WriterBytesMatchTheGolden)
 {
     const std::string path =
-        std::string(WG_GOLDEN_DIR) + "/trace_jsonl_v2.jsonl";
+        std::string(WG_GOLDEN_DIR) + "/trace_jsonl_v3.jsonl";
     const std::string actual = goldenTraces();
     if (std::getenv("WG_REGEN_GOLDEN") != nullptr)
         std::ofstream(path) << actual;
@@ -565,9 +688,10 @@ TEST(JsonlGolden, WriterBytesMatchTheGolden)
         << "JSONL writer bytes differ from " << path;
 
     // The golden pins the writer only if it exercises every branch of
-    // it: each event kind, each reason/location name, a wrap marker.
+    // it: each event kind, each reason/location name, a wrap marker,
+    // and reject runs longer than one cycle.
     std::set<std::string> seen;
-    std::size_t markers = 0, metas = 0;
+    std::size_t markers = 0, metas = 0, long_runs = 0;
     for (const std::string& line : splitLines(actual)) {
         trace::JsonlRecord rec;
         trace::Meta meta;
@@ -593,9 +717,12 @@ TEST(JsonlGolden, WriterBytesMatchTheGolden)
                 static_cast<trace::WakeReason>(e.arg)));
         if (e.kind == EventKind::WarpMigrate)
             seen.insert("loc" + std::to_string(e.arg));
+        if (e.kind == EventKind::MshrReject && e.value > 1)
+            ++long_runs;
     }
     EXPECT_EQ(metas, 2u);
     EXPECT_GT(markers, 0u) << "the rings must wrap";
+    EXPECT_GT(long_runs, 0u) << "the stalls must span cycles";
     std::set<std::string> want = {"loc0", "loc1", "loc2", "loc3"};
     for (std::size_t k = 0; k < trace::kNumEventKinds; ++k)
         want.insert(trace::eventKindName(static_cast<EventKind>(k)));
@@ -608,35 +735,64 @@ TEST(JsonlGolden, WriterBytesMatchTheGolden)
     EXPECT_EQ(seen, want);
 }
 
-TEST(JsonlGolden, V1FixtureReadsOneAttemptPerRejectLine)
+/** What an old writer's golden reads back as. */
+struct FixtureSums
 {
-    // The last v1 writer's golden, kept as a reader fixture: each of
-    // its payload-less mshr-reject lines stood for one attempt.
-    std::ifstream in(std::string(WG_GOLDEN_DIR) + "/trace_jsonl_v1.jsonl");
-    ASSERT_TRUE(in.good());
-    std::uint32_t version = 0;
-    std::size_t metas = 0, reject_lines = 0;
-    std::uint64_t attempts = 0;
+    std::size_t metas = 0;
+    std::size_t rejectLines = 0;
+    std::uint64_t attempts = 0;     ///< summed arg x value, as read
+    std::uint64_t attemptsText = 0; ///< summed "attempts":N, as written
+};
+
+/** Read tests/golden/@p name, a JSONL fixture of schema @p version. */
+FixtureSums
+readFixture(const std::string& name, std::uint32_t version)
+{
+    std::ifstream in(std::string(WG_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(in.good()) << name;
+    FixtureSums sums;
+    const std::string key = "\"attempts\":";
     for (std::string line; std::getline(in, line);) {
         trace::Meta meta;
         trace::JsonlRecord rec;
         std::string error;
         if (trace::parseJsonlMeta(line, meta, error)) {
-            EXPECT_EQ(meta.version, 1u);
-            version = meta.version;
-            ++metas;
+            EXPECT_EQ(meta.version, version);
+            ++sums.metas;
             continue;
         }
-        ASSERT_TRUE(trace::parseJsonlRecord(line, version, rec, error))
+        EXPECT_TRUE(trace::parseJsonlRecord(line, version, rec, error))
             << line << ": " << error;
         if (line.find("\"kind\":\"mshr-reject\"") != std::string::npos)
-            ++reject_lines;
+            ++sums.rejectLines;
+        if (const std::size_t at = line.find(key); at != std::string::npos)
+            sums.attemptsText +=
+                std::stoull(line.substr(at + key.size()));
         if (!rec.marker && rec.event.kind == EventKind::MshrReject)
-            attempts += rec.event.value;
+            sums.attempts += std::uint64_t{rec.event.arg} * rec.event.value;
     }
-    EXPECT_EQ(metas, 2u);
-    EXPECT_GT(reject_lines, 0u);
-    EXPECT_EQ(attempts, reject_lines);
+    return sums;
+}
+
+TEST(JsonlGolden, V1FixtureReadsOneAttemptPerRejectLine)
+{
+    // The last v1 writer's golden, kept as a reader fixture: each of
+    // its payload-less mshr-reject lines stood for one attempt.
+    const FixtureSums v1 = readFixture("trace_jsonl_v1.jsonl", 1);
+    EXPECT_EQ(v1.metas, 2u);
+    EXPECT_GT(v1.rejectLines, 0u);
+    EXPECT_EQ(v1.attempts, v1.rejectLines);
+}
+
+TEST(JsonlGolden, V2FixtureReadsOneCyclePerRejectLine)
+{
+    // The last v2 writer's golden, kept as a reader fixture: each of
+    // its mshr-reject lines was one tally of its "attempts".
+    const FixtureSums v2 = readFixture("trace_jsonl_v2.jsonl", 2);
+    EXPECT_EQ(v2.metas, 2u);
+    EXPECT_EQ(v2.rejectLines, 71u);
+    EXPECT_EQ(v2.attempts, v2.attemptsText);
+    EXPECT_EQ(v2.attempts, 142u);
 }
 
 // ---- Trace <-> stats conservation ----
@@ -660,18 +816,23 @@ csvRejectsPerSm(const std::string& csv, std::size_t num_sms)
     return sums;
 }
 
-TEST(TraceConservation, RejectAttemptsSumToEachSmsStat)
+/**
+ * A whole-run trace at the default ring loses nothing, and per SM the
+ * attempts x cycles its mshr-reject runs carry, read back through the
+ * JSONL reader, sum to the SM's mshrRejects; so does the epoch CSV's
+ * column. FF on and off record the same bytes.
+ */
+void
+expectRejectsConserved(SchedulerPolicy sched)
 {
-    // A whole-run trace at the default ring loses nothing, and per SM
-    // the attempts its mshr-reject lines carry, read back through the
-    // JSONL reader, sum to the SM's mshrRejects; so does the epoch
-    // CSV's column. FF on and off record the same bytes.
     for (const char* bench : {"hotspot", "bfs"}) {
         std::string jsonl[2];
         for (const bool ff : {true, false}) {
-            SCOPED_TRACE(std::string(bench) + (ff ? " ff on" : " ff off"));
+            SCOPED_TRACE(std::string(schedulerPolicyName(sched)) + " " +
+                         bench + (ff ? " ff on" : " ff off"));
             GpuConfig config = makeConfig(Technique::WarpedGates);
             config.numSms = 2;
+            config.sm.scheduler = sched;
             config.sm.fastForward = ff;
             trace::Collector collector;
             SimSession session = SimSession::open(findBenchmark(bench),
@@ -696,7 +857,8 @@ TEST(TraceConservation, RejectAttemptsSumToEachSmsStat)
                     << lines[i] << ": " << error;
                 EXPECT_FALSE(rec.marker) << lines[i];
                 if (!rec.marker && rec.event.kind == EventKind::MshrReject)
-                    traced.at(rec.sm) += rec.event.value;
+                    traced.at(rec.sm) +=
+                        std::uint64_t{rec.event.arg} * rec.event.value;
             }
 
             std::ostringstream csv;
@@ -719,6 +881,164 @@ TEST(TraceConservation, RejectAttemptsSumToEachSmsStat)
         EXPECT_TRUE(jsonl[0] == jsonl[1])
             << bench << ": FF on and off traces differ";
     }
+}
+
+// Each scheduler policy orders the probes, and so the tallies,
+// differently.
+TEST(TraceConservation, RejectAttemptsSumToEachSmsStat)
+{
+    expectRejectsConserved(SchedulerPolicy::Gates);
+}
+
+TEST(TraceConservation, RejectAttemptsSumUnderTwoLevel)
+{
+    expectRejectsConserved(SchedulerPolicy::TwoLevel);
+}
+
+TEST(TraceConservation, RejectAttemptsSumUnderGto)
+{
+    expectRejectsConserved(SchedulerPolicy::Gto);
+}
+
+// ---- Reject runs across checkpoints and epochs ----
+
+/** A whole traced 2-SM hotspot run under WarpedGates. */
+GpuConfig
+runConfig(bool fast_forward)
+{
+    GpuConfig config = makeConfig(Technique::WarpedGates);
+    config.numSms = 2;
+    config.sm.fastForward = fast_forward;
+    return config;
+}
+
+std::string
+jsonlOf(const trace::Collector& collector)
+{
+    std::ostringstream os;
+    trace::writeJsonl(os, collector);
+    return os.str();
+}
+
+std::string
+csvOf(const trace::Collector& collector)
+{
+    std::ostringstream os;
+    trace::writeEpochCsv(os, collector);
+    return os.str();
+}
+
+TEST(RejectRun, CheckpointInsideAnOpenRunResumesByteIdentically)
+{
+    const BenchmarkProfile& profile = findBenchmark("hotspot");
+    for (const bool ff : {true, false}) {
+        SCOPED_TRACE(ff ? "ff on" : "ff off");
+        const GpuConfig config = runConfig(ff);
+        trace::Collector whole;
+        SimSession::open(profile, config, nullptr, &whole).result();
+
+        // Cut SM 0's longest stall in the middle, off an epoch edge.
+        Event longest;
+        whole.recorder(0)->forEach([&](const Event& e) {
+            if (e.kind == EventKind::MshrReject && e.value > longest.value)
+                longest = e;
+        });
+        ASSERT_GE(longest.value, 4u);
+        Cycle cut = longest.cycle + longest.value / 2;
+        if (cut % config.sm.pg.epochLength == 0)
+            ++cut;
+
+        trace::Collector first;
+        SimSession session =
+            SimSession::open(profile, config, nullptr, &first);
+        session.runUntil(cut);
+        const GpuSnapshot snap = session.snapshot();
+        // The checkpoint holds the run's first part, open at the cut.
+        Event open;
+        for (const Event& e : snap.sms[0].traceEvents)
+            if (e.kind == EventKind::MshrReject)
+                open = e;
+        EXPECT_EQ(open.cycle, longest.cycle);
+        EXPECT_EQ(open.cycle + open.value, cut);
+
+        trace::Collector second;
+        std::string error;
+        auto resumed = SimSession::restore(snap, profile, config, nullptr,
+                                           &second, nullptr, &error);
+        ASSERT_NE(resumed, nullptr) << error;
+        resumed->result();
+        EXPECT_TRUE(jsonlOf(whole) == jsonlOf(second))
+            << "split trace differs from the uninterrupted one";
+    }
+}
+
+TEST(RejectRun, EpochCsvEqualsTheCsvOfOneRejectPerCycle)
+{
+    trace::Collector runs;
+    Gpu(runConfig(true)).run(findBenchmark("hotspot"), nullptr, &runs);
+    ASSERT_EQ(runs.totalOverwritten(), 0u);
+    const Cycle epoch = runs.meta.epochLength;
+
+    // The same events with each run expanded to one single-cycle
+    // reject per cycle, in cycle order (as schema v2 recorded them).
+    std::vector<std::vector<Event>> expanded(runs.numSms());
+    std::size_t crossing = 0, longest = 0;
+    for (SmId s = 0; s < runs.numSms(); ++s) {
+        runs.recorder(s)->forEach([&](const Event& e) {
+            if (e.kind != EventKind::MshrReject) {
+                expanded[s].push_back(e);
+                return;
+            }
+            if (e.cycle / epoch != (e.cycle + e.value - 1) / epoch)
+                ++crossing;
+            Event one = e;
+            one.value = 1;
+            for (Cycle c = e.cycle; c < e.cycle + e.value; ++c) {
+                one.cycle = c;
+                expanded[s].push_back(one);
+            }
+        });
+        std::stable_sort(expanded[s].begin(), expanded[s].end(),
+                         [](const Event& a, const Event& b) {
+                             return a.cycle < b.cycle;
+                         });
+        longest = std::max(longest, expanded[s].size());
+    }
+    ASSERT_GT(crossing, 0u) << "some stall must cross an epoch edge";
+
+    trace::RecorderConfig ring;
+    ring.capacity = longest;
+    trace::Collector cycles(ring);
+    cycles.prepare(runs.numSms());
+    cycles.meta = runs.meta;
+    for (SmId s = 0; s < runs.numSms(); ++s)
+        for (const Event& e : expanded[s])
+            cycles.recorder(s)->record(e.cycle, e.kind, e.unit, e.cluster,
+                                       e.arg, e.value);
+    ASSERT_GT(cycles.totalEvents(), runs.totalEvents());
+    EXPECT_EQ(csvOf(runs), csvOf(cycles));
+}
+
+TEST(RejectRun, EpochCsvSplitsARunAtEachEdgeItCrosses)
+{
+    trace::Collector collector;
+    collector.prepare(1);
+    collector.meta.epochLength = 100;
+    trace::Recorder* r = collector.recorder(0);
+    r->record(50, EventKind::Issue, 0, 0, 0, 1);
+    // 90..219: 10 cycles in epoch 0, 100 in epoch 1, 20 in epoch 2.
+    for (Cycle c = 90; c < 220; ++c)
+        r->recordReject(c, kLdst, 2);
+    r->record(250, EventKind::Issue, 1, 0, 0, 2);
+    ASSERT_EQ(r->size(), 3u);
+
+    const std::vector<std::string> lines = splitLines(csvOf(collector));
+    const std::vector<std::string> rows(lines.begin() + 1, lines.end());
+    const std::vector<std::string> want = {
+        "0,0,0,1,0,0,0,0,0,0,0,0,0,20,,",
+        "0,1,100,0,0,0,0,0,0,0,0,0,0,200,,", // reached only by the run
+        "0,2,200,0,1,0,0,0,0,0,0,0,0,40,,"};
+    EXPECT_EQ(rows, want);
 }
 
 TEST(Event, KindNamesRoundTrip)

@@ -119,8 +119,9 @@ main(int argc, char** argv)
                 continue;
             std::cout << "  " << trace::eventKindName(kind) << ": " << n;
             if (kind == trace::EventKind::MshrReject)
-                std::cout << " (" << checker.rejectAttempts()
-                          << " attempts)";
+                std::cout << " runs, " << checker.rejectCycles()
+                          << " cycles, " << checker.rejectAttempts()
+                          << " attempts";
             std::cout << "\n";
         }
         for (const std::string& w : checker.warnings())
