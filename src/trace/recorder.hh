@@ -22,8 +22,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -128,19 +130,26 @@ class Recorder
     }
 
     /**
-     * Visit retained events oldest-first without copying: a wrapped
-     * ring is two contiguous runs, [next_, end) then [0, next_).
+     * Retained events, oldest first, as at most two contiguous runs
+     * (either may be empty): a wrapped ring is [next_, end) then
+     * [0, next_).
      */
+    std::array<std::span<const Event>, 2>
+    spans() const
+    {
+        const std::size_t start = size_ == capacity_ ? next_ : 0;
+        const std::size_t tail = std::min(size_, capacity_ - start);
+        return {{{ring_.get() + start, tail}, {ring_.get(), size_ - tail}}};
+    }
+
+    /** Visit retained events oldest-first without copying. */
     template <typename Fn>
     void
     forEach(Fn&& fn) const
     {
-        const std::size_t start = size_ == capacity_ ? next_ : 0;
-        const std::size_t tail = std::min(size_, capacity_ - start);
-        for (std::size_t i = start; i < start + tail; ++i)
-            fn(ring_[i]);
-        for (std::size_t i = 0; i < size_ - tail; ++i)
-            fn(ring_[i]);
+        for (std::span<const Event> run : spans())
+            for (const Event& e : run)
+                fn(e);
     }
 
   private:

@@ -4,10 +4,16 @@
 #include <array>
 #include <charconv>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <future>
+#include <istream>
 #include <map>
+#include <memory>
 #include <ostream>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "arch/instr.hh"
@@ -96,61 +102,172 @@ argName(ArgForm form, unsigned arg)
  */
 constexpr std::size_t kMaxLine = 512;
 
+/** Events per rendered chunk: about 600 KB of JSONL text. */
+constexpr std::size_t kChunkEvents = 8 * 1024;
+
 /**
- * Buffered text output: lines are formatted straight into a fixed
- * local block, which goes to the stream with one write() whenever the
- * next line might not fit.
+ * Room for one chunk's text: each event's line at its longest, plus
+ * its SM's head lines (a chrome SM's eight lane names, or a JSONL
+ * `truncated` marker). Only the pages written are ever touched.
  */
-class BlockWriter
+constexpr std::size_t kChunkBytes = (kChunkEvents + 8) * kMaxLine;
+
+/** Bytes per JSONL read block: whole lines, more if one is longer. */
+constexpr std::size_t kReadBlock = 1024 * 1024;
+
+/**
+ * Work fanned out on a pool and taken back in submission order: push()
+ * queues a task (runs it at once when the pool is null), pop() waits
+ * for the oldest. full() caps the tasks in flight at two per worker,
+ * so the results held at once stay bounded whatever the input size.
+ * Every wait goes through ThreadPool::wait, so a caller that is itself
+ * a pool task runs its own queued children and cannot deadlock.
+ */
+template <typename T>
+class OrderedFanOut
 {
   public:
-    explicit BlockWriter(std::ostream& os) : os_(os) {}
-    ~BlockWriter() { flush(); }
-    BlockWriter(const BlockWriter&) = delete;
-    BlockWriter& operator=(const BlockWriter&) = delete;
-
-    /** Room for one line of at most kMaxLine bytes; commit() it. */
-    char*
-    line()
+    explicit OrderedFanOut(ThreadPool* pool)
+        : pool_(pool), window_(pool ? 2 * std::size_t{pool->size()} : 1)
     {
-        if (kBlock - len_ < kMaxLine)
-            flush();
-        return block_ + len_;
     }
 
-    void
-    commit(const char* end)
+    /**
+     * Settle what is still in flight: its tasks hold references. This
+     * runs with tasks pending only while an exception leaves the
+     * caller; it is the one that propagates, and a pending task's own
+     * failure is dropped.
+     */
+    ~OrderedFanOut()
     {
-        len_ = static_cast<std::size_t>(end - block_);
+        for (std::future<T>& f : pending_) {
+            try {
+                wait(f);
+            } catch (...) {
+            }
+        }
     }
 
+    OrderedFanOut(const OrderedFanOut&) = delete;
+    OrderedFanOut& operator=(const OrderedFanOut&) = delete;
+
+    bool full() const { return pending_.size() >= window_; }
+    bool empty() const { return pending_.empty(); }
+
+    template <typename F>
     void
-    append(std::string_view text)
+    push(F&& fn)
     {
-        if (kBlock - len_ < text.size())
-            flush();
-        if (text.size() > kBlock) {
-            os_.write(text.data(),
-                      static_cast<std::streamsize>(text.size()));
+        if (pool_ != nullptr) {
+            pending_.push_back(pool_->submit(std::forward<F>(fn)));
             return;
         }
-        std::memcpy(block_ + len_, text.data(), text.size());
-        len_ += text.size();
+        std::promise<T> done;
+        done.set_value(fn());
+        pending_.push_back(done.get_future());
     }
 
-    void
-    flush()
+    /** The oldest task's result. */
+    T
+    pop()
     {
-        os_.write(block_, static_cast<std::streamsize>(len_));
-        len_ = 0;
+        T out = wait(pending_.front());
+        pending_.pop_front();
+        return out;
     }
 
   private:
-    static constexpr std::size_t kBlock = 64 * 1024;
-    std::ostream& os_;
-    std::size_t len_ = 0;
-    char block_[kBlock];
+    T wait(std::future<T>& f) { return pool_ ? pool_->wait(f) : f.get(); }
+
+    ThreadPool* pool_;
+    std::size_t window_;
+    std::deque<std::future<T>> pending_;
 };
+
+/**
+ * Up to kChunkEvents contiguous events of one SM. Each SM's first
+ * chunk carries its ring-wrap count; an SM that kept no events still
+ * gets one (empty) chunk, so a writer can emit its head lines.
+ */
+struct Chunk
+{
+    SmId sm = 0;
+    std::span<const Event> events;
+    bool first = false;         ///< the SM's first chunk
+    std::uint64_t truncated = 0; ///< first chunk: events the ring lost
+};
+
+/** The chunks of every recorded SM, in SM then event order. */
+std::vector<Chunk>
+chunksOf(const Collector& collector)
+{
+    std::vector<Chunk> chunks;
+    for (SmId s = 0; s < collector.numSms(); ++s) {
+        const Recorder* r = collector.recorder(s);
+        if (!r)
+            continue;
+        const std::size_t head = chunks.size();
+        for (std::span<const Event> run : r->spans())
+            for (std::size_t i = 0; i < run.size(); i += kChunkEvents)
+                chunks.push_back(
+                    {s, run.subspan(i, std::min(kChunkEvents,
+                                                run.size() - i))});
+        if (chunks.size() == head)
+            chunks.push_back({s, {}});
+        chunks[head].first = true;
+        chunks[head].truncated = r->overwritten();
+    }
+    return chunks;
+}
+
+/**
+ * Write @p head, then every chunk of @p collector, in order, then
+ * @p tail. @p render(chunk, p) formats a chunk at p, which has room
+ * for kChunkBytes, and returns the end; it runs on @p pool. Each
+ * buffer is reused once its text is written, so at most one per chunk
+ * in flight is ever allocated.
+ */
+template <typename Render>
+void
+writeChunked(std::ostream& os, const Collector& collector,
+             ThreadPool* pool, std::string_view head, Render render,
+             std::string_view tail)
+{
+    using Buffer = std::unique_ptr<char[]>;
+    struct Text
+    {
+        Buffer buffer;
+        std::size_t size = 0;
+    };
+    os.write(head.data(), static_cast<std::streamsize>(head.size()));
+    OrderedFanOut<Text> fan(pool);
+    std::vector<Buffer> spare;
+    auto writeOldest = [&] {
+        Text text = fan.pop();
+        os.write(text.buffer.get(), static_cast<std::streamsize>(text.size));
+        spare.push_back(std::move(text.buffer));
+    };
+    for (const Chunk& chunk : chunksOf(collector)) {
+        if (fan.full())
+            writeOldest();
+        Buffer buffer;
+        if (spare.empty()) {
+            buffer = std::make_unique_for_overwrite<char[]>(kChunkBytes);
+        } else {
+            buffer = std::move(spare.back());
+            spare.pop_back();
+        }
+        fan.push([&render, chunk, buffer = std::move(buffer)]() mutable {
+            const auto size =
+                static_cast<std::size_t>(render(chunk, buffer.get()) -
+                                         buffer.get());
+            return Text{std::move(buffer), size};
+        });
+    }
+    while (!fan.empty())
+        writeOldest();
+    os.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+}
 
 /** Copy @p text to @p p; @return the end. */
 char*
@@ -315,26 +432,23 @@ eventToJson(SmId sm, const Event& e)
 }
 
 void
-writeJsonl(std::ostream& os, const Collector& collector)
+writeJsonl(std::ostream& os, const Collector& collector, ThreadPool* pool)
 {
-    BlockWriter out(os);
-    out.append("{\"meta\":" + codec::encode(collector.meta).dump() + "}\n");
-    for (SmId s = 0; s < collector.numSms(); ++s) {
-        const Recorder* r = collector.recorder(s);
-        if (!r)
-            continue;
-        if (r->overwritten() > 0) {
-            char* p = out.line();
-            p = putNumber(put(p, "{\"sm\":"), s);
-            p = putNumber(put(p, ",\"truncated\":"), r->overwritten());
-            out.commit(put(p, "}\n"));
+    const std::string meta =
+        "{\"meta\":" + codec::encode(collector.meta).dump() + "}\n";
+    auto render = [](const Chunk& chunk, char* p) {
+        if (chunk.truncated > 0) {
+            p = putNumber(put(p, "{\"sm\":"), chunk.sm);
+            p = putNumber(put(p, ",\"truncated\":"), chunk.truncated);
+            p = put(p, "}\n");
         }
-        r->forEach([&](const Event& e) {
-            char* p = formatEvent(out.line(), s, e);
+        for (const Event& e : chunk.events) {
+            p = formatEvent(p, chunk.sm, e);
             *p++ = '\n';
-            out.commit(p);
-        });
-    }
+        }
+        return p;
+    };
+    writeChunked(os, collector, pool, meta, render, "");
 }
 
 namespace {
@@ -479,41 +593,122 @@ parseJsonlRecord(const std::string& line, std::uint32_t version,
     return true;
 }
 
-void
-writeChromeTrace(std::ostream& os, const Collector& collector)
+namespace {
+
+/** The non-blank lines of one read block, numbered from its start. */
+struct ParsedBlock
 {
-    BlockWriter out(os);
-    out.append("{\"traceEvents\":[");
-    const char* sep = "";
-    for (SmId s = 0; s < collector.numSms(); ++s) {
-        const Recorder* r = collector.recorder(s);
-        if (!r)
+    std::vector<JsonlLine> lines; ///< number: 0-based within the block
+    std::uint64_t count = 0;      ///< lines in the block, blank ones too
+};
+
+ParsedBlock
+parseBlock(const std::string& block, std::uint32_t version)
+{
+    ParsedBlock out;
+    std::string line, error;
+    for (std::size_t at = 0; at < block.size(); ++out.count) {
+        std::size_t end = block.find('\n', at);
+        if (end == std::string::npos)
+            end = block.size();
+        if (end > at) {
+            line.assign(block, at, end - at);
+            JsonlLine& l = out.lines.emplace_back();
+            l.number = out.count;
+            l.ok = parseJsonlRecord(line, version, l.record, error);
+        }
+        at = end + 1;
+    }
+    return out;
+}
+
+} // namespace
+
+void
+readJsonl(std::istream& in, std::uint32_t version, ThreadPool* pool,
+          const std::function<void(const JsonlLine&)>& fn)
+{
+    OrderedFanOut<ParsedBlock> fan(pool);
+    std::uint64_t next_line = 2; // line 1 is the meta line
+    auto deliverOldest = [&] {
+        ParsedBlock block = fan.pop();
+        for (JsonlLine& l : block.lines) {
+            l.number += next_line;
+            fn(l);
+        }
+        next_line += block.count;
+    };
+    std::string carry; // a line cut by the end of the last read
+    for (bool eof = false; !eof;) {
+        std::string block = std::move(carry);
+        carry.clear();
+        const std::size_t kept = block.size();
+        block.resize(kept + kReadBlock);
+        in.read(block.data() + kept,
+                static_cast<std::streamsize>(kReadBlock));
+        block.resize(kept + static_cast<std::size_t>(in.gcount()));
+        eof = !in;
+        if (!eof) {
+            // Hand over whole lines only; one longer than a block
+            // reads on.
+            const std::size_t cut = block.rfind('\n');
+            if (cut == std::string::npos) {
+                carry = std::move(block);
+                continue;
+            }
+            carry.assign(block, cut + 1);
+            block.resize(cut + 1);
+        }
+        if (block.empty())
             continue;
-        const std::string sm = std::to_string(s);
-        out.append(sep + std::string("{\"name\":\"process_name\",\"ph\":"
-                                      "\"M\",\"pid\":") +
-                   sm + ",\"args\":{\"name\":\"SM " + sm + "\"}}");
-        sep = ",\n";
-        for (unsigned tid : {0u, 1u, 2u, 3u, 4u, 5u, 8u})
-            out.append(sep + std::string("{\"name\":\"thread_name\",\"ph\":"
-                                          "\"M\",\"pid\":") +
-                       sm + ",\"tid\":" + std::to_string(tid) +
-                       ",\"args\":{\"name\":\"" + chromeTidName(tid) +
-                       "\"}}");
-        r->forEach([&](const Event& e) {
-            char* p = out.line();
+        if (fan.full())
+            deliverOldest();
+        fan.push([version, block = std::move(block)] {
+            return parseBlock(block, version);
+        });
+    }
+    while (!fan.empty())
+        deliverOldest();
+}
+
+void
+writeChromeTrace(std::ostream& os, const Collector& collector,
+                 ThreadPool* pool)
+{
+    // Every SM's head names its process and thread lanes; only the
+    // document's first entry has no separator before it.
+    SmId first_sm = 0;
+    while (first_sm < collector.numSms() && !collector.recorder(first_sm))
+        ++first_sm;
+    auto render = [first_sm](const Chunk& chunk, char* p) {
+        if (chunk.first) {
+            const std::string sm = std::to_string(chunk.sm);
+            if (chunk.sm != first_sm)
+                p = put(p, ",\n");
+            p = put(p, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+                           sm + ",\"args\":{\"name\":\"SM " + sm + "\"}}");
+            for (unsigned tid : {0u, 1u, 2u, 3u, 4u, 5u, 8u})
+                p = put(p, ",\n{\"name\":\"thread_name\",\"ph\":\"M\","
+                           "\"pid\":" +
+                               sm + ",\"tid\":" + std::to_string(tid) +
+                               ",\"args\":{\"name\":\"" +
+                               chromeTidName(tid) + "\"}}");
+        }
+        for (const Event& e : chunk.events) {
             p = put(p, ",\n{\"name\":\"");
             p = put(p, eventKindName(e.kind));
             p = put(p, "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
             p = putNumber(p, e.cycle);
-            p = putNumber(put(p, ",\"pid\":"), s);
+            p = putNumber(put(p, ",\"pid\":"), chunk.sm);
             p = putNumber(put(p, ",\"tid\":"), chromeTid(e));
             p = put(p, ",\"args\":{\"detail\":");
-            p = formatEvent(p, s, e);
-            out.commit(put(p, "}}"));
-        });
-    }
-    out.append("],\"displayTimeUnit\":\"ns\"}\n");
+            p = formatEvent(p, chunk.sm, e);
+            p = put(p, "}}");
+        }
+        return p;
+    };
+    writeChunked(os, collector, pool, "{\"traceEvents\":[", render,
+                 "],\"displayTimeUnit\":\"ns\"}\n");
 }
 
 void
@@ -598,11 +793,12 @@ writeEpochCsv(std::ostream& os, const Collector& collector)
 }
 
 void
-writeTrace(std::ostream& os, const Collector& collector, SinkFormat format)
+writeTrace(std::ostream& os, const Collector& collector, SinkFormat format,
+           ThreadPool* pool)
 {
     switch (format) {
-      case SinkFormat::Chrome: writeChromeTrace(os, collector); return;
-      case SinkFormat::Jsonl: writeJsonl(os, collector); return;
+      case SinkFormat::Chrome: writeChromeTrace(os, collector, pool); return;
+      case SinkFormat::Jsonl: writeJsonl(os, collector, pool); return;
       case SinkFormat::Csv: writeEpochCsv(os, collector); return;
     }
     panic("writeTrace: unknown sink format");
@@ -610,12 +806,12 @@ writeTrace(std::ostream& os, const Collector& collector, SinkFormat format)
 
 void
 writeTraceFile(const std::string& path, const Collector& collector,
-               SinkFormat format)
+               SinkFormat format, ThreadPool* pool)
 {
     std::ofstream out(path);
     if (!out)
         fatal("cannot open trace file '", path, "' for writing");
-    writeTrace(out, collector, format);
+    writeTrace(out, collector, format, pool);
     out.flush();
     if (!out)
         fatal("short write to trace file '", path, "'");

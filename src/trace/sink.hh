@@ -17,13 +17,20 @@
  * order, so output depends only on the simulated work — never on the
  * thread pool's scheduling. A wrapped ring is flagged (`truncated`)
  * rather than silently shortened.
+ *
+ * The JSONL and chrome writers render fixed-size chunks of events on a
+ * ThreadPool and write them in order; the JSONL reader parses blocks
+ * of lines the same way. A null pool does the same work inline, with
+ * the same bytes and records.
  */
 
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
+#include "common/threadpool.hh"
 #include "trace/recorder.hh"
 
 namespace wg::trace {
@@ -37,22 +44,31 @@ const char* sinkFormatName(SinkFormat format);
 /** Parse a --trace-format value. @return false when unknown. */
 bool parseSinkFormat(const std::string& name, SinkFormat& out);
 
-/** Serialise @p collector to @p os in the given format. */
+/**
+ * Serialise @p collector to @p os in the given format, rendering on
+ * @p pool (inline when null; the CSV is always rendered inline).
+ */
 void writeTrace(std::ostream& os, const Collector& collector,
-                SinkFormat format);
+                SinkFormat format, ThreadPool* pool = &ThreadPool::global());
 
 /** Chrome about://tracing JSON document. */
-void writeChromeTrace(std::ostream& os, const Collector& collector);
+void writeChromeTrace(std::ostream& os, const Collector& collector,
+                      ThreadPool* pool = &ThreadPool::global());
 
-/** JSONL: meta line, then one event object per line. */
-void writeJsonl(std::ostream& os, const Collector& collector);
+/**
+ * JSONL: meta line, then per SM its `truncated` marker (when its ring
+ * wrapped) and one event object per line.
+ */
+void writeJsonl(std::ostream& os, const Collector& collector,
+                ThreadPool* pool = &ThreadPool::global());
 
 /** Per-epoch CSV timeseries (epoch length from the meta; 1000 if 0). */
 void writeEpochCsv(std::ostream& os, const Collector& collector);
 
 /** Serialise to @p path; fatal() on I/O failure. */
 void writeTraceFile(const std::string& path, const Collector& collector,
-                    SinkFormat format);
+                    SinkFormat format,
+                    ThreadPool* pool = &ThreadPool::global());
 
 /** Serialise one event as the JSONL object (no trailing newline). */
 std::string eventToJson(SmId sm, const Event& event);
@@ -87,6 +103,24 @@ bool parseJsonlMeta(const std::string& line, Meta& out,
  */
 bool parseJsonlRecord(const std::string& line, std::uint32_t version,
                       JsonlRecord& out, std::string& error);
+
+/** One non-blank JSONL body line, as readJsonl hands it over. */
+struct JsonlLine
+{
+    std::uint64_t number = 0; ///< 1-based line number in the file
+    bool ok = false;          ///< false: a malformed line
+    JsonlRecord record;       ///< ok: the record
+};
+
+/**
+ * Read the body of a schema-@p version JSONL trace from @p in, which
+ * is positioned just after the meta line (line 1). This thread reads
+ * blocks of lines, @p pool parses them with parseJsonlRecord (inline
+ * when null), and @p fn gets every non-blank line on this thread, in
+ * file order. A last line without a newline is read too.
+ */
+void readJsonl(std::istream& in, std::uint32_t version, ThreadPool* pool,
+               const std::function<void(const JsonlLine&)>& fn);
 
 } // namespace wg::trace
 

@@ -182,6 +182,35 @@ TEST_F(TraceCli, CorruptedLineExitsTwo)
         << r.output;
 }
 
+TEST_F(TraceCli, MalformedLinesAcrossBlocksReportFirstFiveThenCount)
+{
+    std::vector<std::string> lines = readLines(trace());
+    ASSERT_GT(lines.size(), 10u);
+    // Seven bad lines, spread over several read blocks by runs of
+    // blank lines (which are skipped, but counted as lines).
+    const std::size_t pad = 700'000;
+    std::vector<std::string> out = {lines[0]};
+    for (std::size_t i = 0; i < 7; ++i) {
+        out.push_back("not json " + std::to_string(i));
+        out.push_back(lines[1 + i]);
+        out.insert(out.end(), pad, "");
+    }
+    const std::string path = dir_ + "malformed.jsonl";
+    writeLines(path, out);
+    const ToolRun r = check(path);
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+    for (std::size_t i = 0; i < 7; ++i) {
+        const std::string line =
+            "malformed.jsonl:" + std::to_string(2 + i * (pad + 2)) +
+            ": malformed line";
+        EXPECT_EQ(r.output.find(line) != std::string::npos, i < 5)
+            << line << "\n" << r.output;
+    }
+    EXPECT_NE(r.output.find("wgtrace: 7 malformed line(s)"),
+              std::string::npos)
+        << r.output;
+}
+
 TEST_F(TraceCli, FirstLineNotMetaExitsTwo)
 {
     std::vector<std::string> lines = readLines(trace());

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/codec.hh"
+#include "common/threadpool.hh"
 #include "core/warped_gates.hh"
 #include "sim/gpu.hh"
 #include "sim/session.hh"
@@ -639,8 +642,8 @@ TEST(JsonlReader, MetaLineNeedsEveryKey)
  * small MSHR pool (so reject stalls reach the retained tail) and a
  * ring small enough to wrap.
  */
-std::string
-goldenRun(GpuConfig config)
+trace::Collector
+goldenCollector(GpuConfig config)
 {
     config.numSms = 2;
     config.sm.mem.mshrLimit = 8;
@@ -651,25 +654,41 @@ goldenRun(GpuConfig config)
     cfg.capacity = 300;
     trace::Collector collector(cfg);
     Gpu(config).run(p, nullptr, &collector);
+    return collector;
+}
+
+std::string
+goldenRun(GpuConfig config)
+{
     std::ostringstream os;
-    trace::writeJsonl(os, collector);
+    trace::writeJsonl(os, goldenCollector(config));
     return os.str();
 }
 
 /**
- * The bytes of tests/golden/trace_jsonl_v3.jsonl: two complete JSONL
- * traces back to back. WarpedGates (GATES scheduler, coordinated
- * blackout, adaptive window) records priority switches and
- * coordinated-drain gates; GTO over conventional INT/FP/SFU gating
- * records greedy switches and uncompensated wakeups.
+ * The configurations of tests/golden/trace_jsonl_v3.jsonl's two
+ * traces. WarpedGates (GATES scheduler, coordinated blackout, adaptive
+ * window) records priority switches and coordinated-drain gates; GTO
+ * over conventional INT/FP/SFU gating records greedy switches and
+ * uncompensated wakeups.
  */
-std::string
-goldenTraces()
+std::vector<GpuConfig>
+goldenConfigs()
 {
     GpuConfig gto = makeConfig(Technique::ConvPG);
     gto.sm.scheduler = SchedulerPolicy::Gto;
     gto.sm.pg.gateSfu = true;
-    return goldenRun(makeConfig(Technique::WarpedGates)) + goldenRun(gto);
+    return {makeConfig(Technique::WarpedGates), gto};
+}
+
+/** The golden's bytes: the two complete JSONL traces back to back. */
+std::string
+goldenTraces()
+{
+    std::string out;
+    for (const GpuConfig& config : goldenConfigs())
+        out += goldenRun(config);
+    return out;
 }
 
 TEST(JsonlGolden, WriterBytesMatchTheGolden)
@@ -1039,6 +1058,358 @@ TEST(RejectRun, EpochCsvSplitsARunAtEachEdgeItCrosses)
         "0,1,100,0,0,0,0,0,0,0,0,0,0,200,,", // reached only by the run
         "0,2,200,0,1,0,0,0,0,0,0,0,0,40,,"};
     EXPECT_EQ(rows, want);
+}
+
+// ---- Chunked writers and the block reader on the pool ----
+
+/** Record @p n events of every kind, unit and cluster form into @p r. */
+void
+recordSynthetic(trace::Recorder& r, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto kind = static_cast<EventKind>(i % trace::kNumEventKinds);
+        const auto unit = static_cast<std::uint8_t>(
+            i % 5 == 4 ? trace::kNoUnit : i % kNumUnitClasses);
+        const auto cluster =
+            static_cast<std::uint8_t>(i % 3 == 2 ? trace::kNoCluster : i % 2);
+        r.record(i, kind, unit, cluster, static_cast<std::uint8_t>(i % 3),
+                 static_cast<std::uint32_t>(i));
+    }
+}
+
+/** The JSONL text one eventToJson line at a time, as the format reads. */
+std::string
+plainJsonl(const trace::Collector& collector)
+{
+    std::string out =
+        "{\"meta\":" + codec::encode(collector.meta).dump() + "}\n";
+    for (SmId s = 0; s < collector.numSms(); ++s) {
+        const trace::Recorder* r = collector.recorder(s);
+        if (!r)
+            continue;
+        if (r->overwritten() > 0)
+            out += "{\"sm\":" + std::to_string(s) + ",\"truncated\":" +
+                   std::to_string(r->overwritten()) + "}\n";
+        for (const Event& e : r->events())
+            out += trace::eventToJson(s, e) + "\n";
+    }
+    return out;
+}
+
+/** The chrome document one event at a time, as the format reads. */
+std::string
+plainChrome(const trace::Collector& collector)
+{
+    // One lane per pipeline, then the control lane.
+    auto tid = [](const Event& e) -> unsigned {
+        const unsigned cluster = e.cluster == trace::kNoCluster ? 0 : e.cluster;
+        switch (e.unit) {
+          case static_cast<std::uint8_t>(UnitClass::Int): return cluster;
+          case static_cast<std::uint8_t>(UnitClass::Fp): return 2 + cluster;
+          case static_cast<std::uint8_t>(UnitClass::Sfu): return 4;
+          case static_cast<std::uint8_t>(UnitClass::Ldst): return 5;
+        }
+        return 8;
+    };
+    const std::vector<std::pair<unsigned, std::string>> lanes = {
+        {0, "INT0"}, {1, "INT1"}, {2, "FP0"}, {3, "FP1"},
+        {4, "SFU"},  {5, "LDST"}, {8, "control"}};
+    std::string out = "{\"traceEvents\":[";
+    std::string sep;
+    for (SmId s = 0; s < collector.numSms(); ++s) {
+        const trace::Recorder* r = collector.recorder(s);
+        if (!r)
+            continue;
+        const std::string sm = std::to_string(s);
+        out += sep + "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + sm +
+               ",\"args\":{\"name\":\"SM " + sm + "\"}}";
+        sep = ",\n";
+        for (const auto& [lane, name] : lanes)
+            out += sep + "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
+                   sm + ",\"tid\":" + std::to_string(lane) +
+                   ",\"args\":{\"name\":\"" + name + "\"}}";
+        for (const Event& e : r->events())
+            out += sep + "{\"name\":\"" + trace::eventKindName(e.kind) +
+                   "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
+                   std::to_string(e.cycle) + ",\"pid\":" + sm +
+                   ",\"tid\":" + std::to_string(tid(e)) +
+                   ",\"args\":{\"detail\":" + trace::eventToJson(s, e) +
+                   "}}";
+    }
+    return out + "],\"displayTimeUnit\":\"ns\"}\n";
+}
+
+std::string
+jsonlOn(const trace::Collector& collector, ThreadPool* pool)
+{
+    std::ostringstream os;
+    trace::writeJsonl(os, collector, pool);
+    return os.str();
+}
+
+std::string
+chromeOn(const trace::Collector& collector, ThreadPool* pool)
+{
+    std::ostringstream os;
+    trace::writeChromeTrace(os, collector, pool);
+    return os.str();
+}
+
+/**
+ * Both chunked writers, on the shared pool, a 1-worker pool and
+ * inline, write exactly the plain per-event text.
+ */
+void
+expectWritersMatchThePlainText(const trace::Collector& collector)
+{
+    ThreadPool one(1);
+    const std::string jsonl = plainJsonl(collector);
+    const std::string chrome = plainChrome(collector);
+    for (ThreadPool* pool : {&ThreadPool::global(), &one,
+                             static_cast<ThreadPool*>(nullptr)}) {
+        EXPECT_TRUE(jsonlOn(collector, pool) == jsonl)
+            << "JSONL, pool " << (pool ? pool->size() : 0);
+        EXPECT_TRUE(chromeOn(collector, pool) == chrome)
+            << "chrome, pool " << (pool ? pool->size() : 0);
+    }
+    std::ostringstream os;
+    trace::writeJsonl(os, collector);
+    EXPECT_TRUE(os.str() == jsonl) << "the default pool";
+}
+
+TEST(ChunkedWriter, PlainTextIsTheGoldenBytes)
+{
+    // The plain text is what the writer wrote one line at a time; the
+    // golden pins it, wrap markers included.
+    std::ifstream in(std::string(WG_GOLDEN_DIR) + "/trace_jsonl_v3.jsonl");
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    std::string plain;
+    for (const GpuConfig& config : goldenConfigs()) {
+        const trace::Collector collector = goldenCollector(config);
+        ASSERT_GT(collector.totalOverwritten(), 0u);
+        plain += plainJsonl(collector);
+        expectWritersMatchThePlainText(collector);
+    }
+    EXPECT_TRUE(golden.str() == plain);
+}
+
+TEST(ChunkedWriter, TraceOfManyChunksIsWrittenInOrder)
+{
+    trace::RecorderConfig cfg;
+    cfg.capacity = 200'000;
+    trace::Collector collector(cfg);
+    collector.prepare(2);
+    collector.meta = makeTraceMeta(makeConfig(Technique::WarpedGates), 2);
+    // Many chunks on SM 0, part of one on SM 1.
+    recordSynthetic(*collector.recorder(0), 100'000);
+    recordSynthetic(*collector.recorder(1), 5);
+    expectWritersMatchThePlainText(collector);
+}
+
+TEST(ChunkedWriter, WrappedRingKeepsItsMarkerFirst)
+{
+    trace::RecorderConfig cfg;
+    cfg.capacity = 50'000;
+    trace::Collector collector(cfg);
+    collector.prepare(2);
+    collector.meta = makeTraceMeta(makeConfig(Technique::WarpedGates), 2);
+    // Both SMs wrap, so each is written as its ring's two runs.
+    recordSynthetic(*collector.recorder(0), 120'000);
+    recordSynthetic(*collector.recorder(1), 73'333);
+    ASSERT_EQ(collector.recorder(1)->overwritten(), 23'333u);
+    expectWritersMatchThePlainText(collector);
+    const std::string text = jsonlOn(collector, &ThreadPool::global());
+    const std::size_t marker = text.find("{\"sm\":1,\"truncated\":23333}\n");
+    ASSERT_NE(marker, std::string::npos);
+    EXPECT_EQ(text.find("{\"sm\":1,"), marker)
+        << "the marker heads its SM's lines";
+}
+
+TEST(ChunkedWriter, FilteredAndSilentSmsMatch)
+{
+    // --trace-sm leaves null recorders before and after the traced SM.
+    trace::RecorderConfig filtered;
+    filtered.smFilter = 1;
+    trace::Collector one_sm(filtered);
+    one_sm.prepare(3);
+    one_sm.meta = makeTraceMeta(makeConfig(Technique::WarpedGates), 3);
+    recordSynthetic(*one_sm.recorder(1), 40'000);
+    expectWritersMatchThePlainText(one_sm);
+
+    // An SM that recorded nothing still heads its chrome lanes.
+    trace::Collector silent;
+    silent.prepare(3);
+    silent.meta = makeTraceMeta(makeConfig(Technique::WarpedGates), 3);
+    recordSynthetic(*silent.recorder(0), 10);
+    recordSynthetic(*silent.recorder(2), 10);
+    expectWritersMatchThePlainText(silent);
+    EXPECT_NE(chromeOn(silent, nullptr).find("\"SM 1\""), std::string::npos);
+
+    trace::Collector empty;
+    empty.prepare(2);
+    expectWritersMatchThePlainText(empty);
+}
+
+TEST(ChunkedWriter, CallFromAPoolTaskOnOneWorkerCompletes)
+{
+    // The writer's task waits on its own chunks: on a 1-worker pool
+    // it must run them itself rather than wait for a free worker.
+    trace::RecorderConfig cfg;
+    cfg.capacity = 200'000;
+    trace::Collector collector(cfg);
+    collector.prepare(1);
+    recordSynthetic(*collector.recorder(0), 150'000);
+    ThreadPool pool(1);
+    auto jsonl = pool.submit([&] { return jsonlOn(collector, &pool); });
+    auto chrome = pool.submit([&] { return chromeOn(collector, &pool); });
+    ASSERT_EQ(jsonl.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready);
+    ASSERT_EQ(chrome.wait_for(std::chrono::seconds(20)),
+              std::future_status::ready);
+    EXPECT_TRUE(jsonl.get() == plainJsonl(collector));
+    EXPECT_TRUE(chrome.get() == plainChrome(collector));
+}
+
+/** One delivered line: its number, then its record or "malformed". */
+std::string
+describeLine(std::uint64_t number, bool ok, const trace::JsonlRecord& rec)
+{
+    std::string out = std::to_string(number) + " ";
+    if (!ok)
+        return out + "malformed";
+    if (rec.marker)
+        return out + "truncated " + std::to_string(rec.sm) + " " +
+               std::to_string(rec.truncated);
+    return out + std::to_string(rec.sm) + " " + encoded(rec.event);
+}
+
+/** The body of @p text (after its first line) through readJsonl. */
+std::vector<std::string>
+readBody(const std::string& text, std::uint32_t version, ThreadPool* pool)
+{
+    std::istringstream in(text);
+    std::string meta;
+    std::getline(in, meta);
+    std::vector<std::string> got;
+    trace::readJsonl(in, version, pool, [&](const trace::JsonlLine& l) {
+        got.push_back(describeLine(l.number, l.ok, l.record));
+    });
+    return got;
+}
+
+/** The same, one getline and parseJsonlRecord at a time. */
+std::vector<std::string>
+readBodyByLine(const std::string& text, std::uint32_t version)
+{
+    std::istringstream in(text);
+    std::string line;
+    std::getline(in, line);
+    std::vector<std::string> want;
+    for (std::uint64_t number = 2; std::getline(in, line); ++number) {
+        if (line.empty())
+            continue;
+        trace::JsonlRecord rec;
+        std::string error;
+        const bool ok = trace::parseJsonlRecord(line, version, rec, error);
+        want.push_back(describeLine(number, ok, rec));
+    }
+    return want;
+}
+
+void
+expectReaderMatchesLineByLine(const std::string& text, std::uint32_t version)
+{
+    const std::vector<std::string> want = readBodyByLine(text, version);
+    ThreadPool one(1);
+    for (ThreadPool* pool : {&ThreadPool::global(), &one,
+                             static_cast<ThreadPool*>(nullptr)})
+        EXPECT_TRUE(readBody(text, version, pool) == want)
+            << "pool " << (pool ? pool->size() : 0);
+}
+
+TEST(BlockReader, ReadsInFileOrderAcrossBlockEdges)
+{
+    trace::RecorderConfig cfg;
+    cfg.capacity = 60'000;
+    trace::Collector collector(cfg);
+    collector.prepare(2);
+    collector.meta = makeTraceMeta(makeConfig(Technique::WarpedGates), 2);
+    recordSynthetic(*collector.recorder(0), 80'000);
+    recordSynthetic(*collector.recorder(1), 30'000);
+    // About 8 MB: several read blocks. Blank lines and malformed ones
+    // land in different blocks, one malformed line is longer than a
+    // block, and the last line has no newline.
+    std::vector<std::string> lines = splitLines(plainJsonl(collector));
+    ASSERT_GT(lines.size(), 90'000u);
+    for (std::size_t at : {10u, 11u, 40'000u, 85'000u})
+        lines[at].clear();
+    for (std::size_t at : {3u, 20'000u, 50'000u, 70'000u, 88'000u, 89'000u})
+        lines[at] = "{\"sm\":0,\"cycle\":1,\"kind\":\"nope\"}";
+    lines[60'000] = std::string(3u << 20, 'x');
+    std::string text;
+    for (const std::string& line : lines)
+        text += line + "\n";
+    text.pop_back();
+    ASSERT_GT(text.size(), 8u << 20);
+
+    expectReaderMatchesLineByLine(text, trace::kSchemaVersion);
+    const std::vector<std::string> got =
+        readBody(text, trace::kSchemaVersion, &ThreadPool::global());
+    ASSERT_EQ(got.size(), lines.size() - 1 - 4);
+    std::vector<std::string> malformed;
+    for (const std::string& g : got)
+        if (g.ends_with(" malformed"))
+            malformed.push_back(g);
+    EXPECT_EQ(malformed,
+              (std::vector<std::string>{
+                  "4 malformed", "20001 malformed", "50001 malformed",
+                  "60001 malformed", "70001 malformed", "88001 malformed",
+                  "89001 malformed"}));
+    EXPECT_EQ(got.back(),
+              describeLine(lines.size(), true, [&] {
+                  trace::JsonlRecord rec;
+                  std::string error;
+                  trace::parseJsonlRecord(lines.back(), trace::kSchemaVersion,
+                                          rec, error);
+                  return rec;
+              }()))
+        << "the last line, without a newline, is read";
+}
+
+TEST(BlockReader, BlankAndEmptyBodies)
+{
+    const std::string meta = "{\"meta\":{}}";
+    EXPECT_TRUE(readBody(meta, 3, &ThreadPool::global()).empty());
+    EXPECT_TRUE(readBody(meta + "\n", 3, nullptr).empty());
+    EXPECT_TRUE(readBody(meta + "\n\n\n\n", 3, &ThreadPool::global()).empty());
+    expectReaderMatchesLineByLine(meta + "\n\nx\n\n", 3);
+}
+
+TEST(BlockReader, FixturesReadAsLineByLine)
+{
+    // Each fixture holds two traces back to back; the second meta
+    // line is not a body line, so both readers call it malformed.
+    for (const auto& [name, version] :
+         std::vector<std::pair<std::string, std::uint32_t>>{
+             {"trace_jsonl_v1.jsonl", 1},
+             {"trace_jsonl_v2.jsonl", 2},
+             {"trace_jsonl_v3.jsonl", 3}}) {
+        std::ifstream in(std::string(WG_GOLDEN_DIR) + "/" + name);
+        ASSERT_TRUE(in.good()) << name;
+        std::ostringstream text;
+        text << in.rdbuf();
+        SCOPED_TRACE(name);
+        expectReaderMatchesLineByLine(text.str(), version);
+        const std::vector<std::string> got =
+            readBody(text.str(), version, &ThreadPool::global());
+        EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                                [](const std::string& g) {
+                                    return g.ends_with(" malformed");
+                                }),
+                  1)
+            << "only the second meta line";
+    }
 }
 
 TEST(Event, KindNamesRoundTrip)

@@ -367,7 +367,7 @@ main(int argc, char** argv)
         }
         if (tracing) {
             trace::writeTraceFile(args.getString("trace"), collector,
-                                  trace_format);
+                                  trace_format, pool);
             inform("wrote ", args.getString("trace"), " (",
                    collector.totalEvents(), " events, ",
                    collector.totalOverwritten(), " lost to wrap)");

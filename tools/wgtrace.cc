@@ -13,7 +13,9 @@
  *     schedule inside [min, max]. An SM whose ring wrapped (a
  *     `truncated` marker) cannot be checked, so --check fails on one.
  *
- * Reads trace schema versions 1 and 2 (the meta line's `version`).
+ * Reads trace schema versions 1 to 3 (the meta line's `version`). The
+ * body lines are parsed on the shared thread pool (trace::readJsonl)
+ * and checked in file order.
  *
  * Exit codes: 0 = clean, 1 = invariant violations found or an SM left
  * unchecked, 2 = usage or parse errors.
@@ -29,6 +31,7 @@
 #include <string>
 
 #include "common/args.hh"
+#include "common/threadpool.hh"
 #include "trace/check.hh"
 #include "trace/sink.hh"
 
@@ -83,25 +86,22 @@ main(int argc, char** argv)
     }
 
     trace::InvariantChecker checker(meta);
-    std::uint64_t line_no = 1;
     std::uint64_t bad_lines = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        trace::JsonlRecord rec;
-        if (!trace::parseJsonlRecord(line, meta.version, rec, error)) {
-            if (++bad_lines <= 5)
-                std::fprintf(stderr, "wgtrace: %s:%llu: malformed line\n",
-                             path.c_str(),
-                             static_cast<unsigned long long>(line_no));
-            continue;
-        }
-        if (rec.marker)
-            checker.noteTruncated(rec.sm, rec.truncated);
-        else
-            checker.feed(rec.sm, rec.event);
-    }
+    trace::readJsonl(
+        in, meta.version, &ThreadPool::global(),
+        [&](const trace::JsonlLine& l) {
+            if (!l.ok) {
+                if (++bad_lines <= 5)
+                    std::fprintf(stderr,
+                                 "wgtrace: %s:%llu: malformed line\n",
+                                 path.c_str(),
+                                 static_cast<unsigned long long>(l.number));
+            } else if (l.record.marker) {
+                checker.noteTruncated(l.record.sm, l.record.truncated);
+            } else {
+                checker.feed(l.record.sm, l.record.event);
+            }
+        });
     if (bad_lines > 0) {
         std::fprintf(stderr, "wgtrace: %llu malformed line(s)\n",
                      static_cast<unsigned long long>(bad_lines));
