@@ -14,9 +14,10 @@
  *   - every helper that assumes the lock is held carries
  *     WG_REQUIRES(mu_) (and, by this tree's convention, a name ending
  *     in "Locked" — wglint rule C2 understands both spellings);
- *   - lock with the RAII MutexLock, never raw .lock()/.unlock()
- *     (wglint rule C1 flags raw calls; this header is the one
- *     sanctioned wrapper and is exempt).
+ *   - lock with the RAII MutexLock. Mutex has no lock()/unlock() and
+ *     its native handle is private, so a raw lock does not compile
+ *     under any compiler (tests/raw_lock_canary.cc and
+ *     tests/native_handle_canary.cc are the compile-fail canaries).
  *
  * The wrappers are deliberately thin: Mutex is a std::mutex that
  * carries the CAPABILITY attribute, MutexLock is a std::unique_lock
@@ -29,7 +30,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -48,9 +48,6 @@
 /** Field may only be accessed while holding the given capability. */
 #define WG_GUARDED_BY(x) WG_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointee may only be accessed while holding the given capability. */
-#define WG_PT_GUARDED_BY(x) WG_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /** Function may only be called while holding the capabilities. */
 #define WG_REQUIRES(...) \
     WG_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
@@ -63,27 +60,12 @@
 #define WG_RELEASE(...) \
     WG_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/** Function acquires the capability when returning the given value. */
-#define WG_TRY_ACQUIRE(...) \
-    WG_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-/** Function must NOT be called while holding the capabilities. */
-#define WG_EXCLUDES(...) WG_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Function returns a reference to the given capability. */
-#define WG_RETURN_CAPABILITY(x) WG_THREAD_ANNOTATION(lock_returned(x))
-
-/** Escape hatch: disable the analysis for one function. */
-#define WG_NO_THREAD_SAFETY_ANALYSIS \
-    WG_THREAD_ANNOTATION(no_thread_safety_analysis)
-
 namespace wg {
 
 /**
  * std::mutex carrying the CAPABILITY attribute so WG_GUARDED_BY /
- * WG_REQUIRES annotations can name it. native() exists only for the
- * CondVar / MutexLock plumbing below — call sites lock through
- * MutexLock, never through the raw handle.
+ * WG_REQUIRES annotations can name it. It has no public locking API:
+ * the only way to hold it is a MutexLock.
  */
 class WG_CAPABILITY("mutex") Mutex
 {
@@ -92,14 +74,11 @@ class WG_CAPABILITY("mutex") Mutex
     Mutex(const Mutex&) = delete;
     Mutex& operator=(const Mutex&) = delete;
 
-    void lock() WG_ACQUIRE() { mu_.lock(); }
-    void unlock() WG_RELEASE() { mu_.unlock(); }
-    bool tryLock() WG_TRY_ACQUIRE(true) { return mu_.try_lock(); }
+  private:
+    friend class MutexLock;
 
-    /** Underlying handle for MutexLock/CondVar; not for call sites. */
     std::mutex& native() { return mu_; }
 
-  private:
     std::mutex mu_;
 };
 
@@ -124,22 +103,20 @@ class WG_SCOPED_CAPABILITY MutexLock
     /** Re-take the lock after unlock(). */
     void relock() WG_ACQUIRE() { lock_.lock(); }
 
-    /** Underlying handle for CondVar::wait; not for call sites. */
+  private:
+    friend class CondVar;
+
     std::unique_lock<std::mutex>& native() { return lock_; }
 
-  private:
     std::unique_lock<std::mutex> lock_;
 };
 
 /**
  * std::condition_variable adapted to MutexLock. wait() atomically
  * releases and re-acquires the underlying mutex, which the analysis
- * models as the capability being held across the call.
- *
- * Prefer the plain wait() in an explicit `while (!cond) cv.wait(lock)`
- * loop when the condition reads WG_GUARDED_BY fields: clang analyzes a
- * predicate lambda as a separate function that cannot see the held
- * lock, so the inline loop is the form the analysis understands.
+ * models as the capability being held across the call. Call it in an
+ * explicit `while (!cond) cv.wait(lock)` loop: the condition then
+ * reads WG_GUARDED_BY fields where the analysis can see the held lock.
  */
 class CondVar
 {
@@ -149,19 +126,6 @@ class CondVar
     CondVar& operator=(const CondVar&) = delete;
 
     void wait(MutexLock& lock) { cv_.wait(lock.native()); }
-
-    template <typename Rep, typename Period>
-    std::cv_status waitFor(MutexLock& lock,
-                           const std::chrono::duration<Rep, Period>& dur)
-    {
-        return cv_.wait_for(lock.native(), dur);
-    }
-
-    template <typename Predicate>
-    void wait(MutexLock& lock, Predicate pred)
-    {
-        cv_.wait(lock.native(), pred);
-    }
 
     void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }

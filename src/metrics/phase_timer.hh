@@ -57,10 +57,6 @@ class PhaseTimers
         std::chrono::steady_clock::time_point start_;
     };
 
-    /** Time the enclosing scope under @p phase. Null-safe is the
-     *  caller's job: construct Scope(nullptr, ...) for "off". */
-    Scope time(const std::string& phase) { return Scope(this, phase); }
-
     /** Add @p seconds to @p phase. */
     void add(const std::string& phase, double seconds)
     {

@@ -18,7 +18,7 @@ isWgAttribute(const Token& tok)
 // ---------------------------------------------------------------------
 
 /**
- * Walk one class body for C1/C2 facts: WG_GUARDED_BY fields,
+ * Walk one class body for C2 facts: WG_GUARDED_BY fields,
  * WG_REQUIRES method names (declarations suffice — a header contract
  * covers the out-of-line definition elsewhere), and inline method
  * definitions, which become FunctionDefs qualified by the class.
@@ -277,64 +277,6 @@ indexScopes(const FileScan& scan, std::size_t begin, std::size_t end,
     }
 }
 
-// ---------------------------------------------------------------------
-// Mutex-typed names (C1)
-// ---------------------------------------------------------------------
-
-const std::set<std::string>&
-mutexFamily()
-{
-    static const std::set<std::string> kSet = {
-        "mutex",        "recursive_mutex",    "timed_mutex",
-        "shared_mutex", "shared_timed_mutex", "Mutex",
-    };
-    return kSet;
-}
-
-/**
- * Collect every name declared with a mutex-family type — fields,
- * globals, locals and parameters alike. A flat whole-file scan is
- * deliberately scope-blind: C1 only needs the set of names that
- * plausibly denote a mutex, and a false name in the set costs nothing
- * unless `.lock()` is called on it.
- */
-void
-collectMutexNames(const FileScan& scan, std::set<std::string>& out)
-{
-    const std::vector<Token>& t = scan.tokens;
-    const std::size_t n = t.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (t[i].kind != TokKind::Ident ||
-            !mutexFamily().count(t[i].text))
-            continue;
-        std::size_t j = i + 1;
-        // `shared_lock<std::shared_mutex>`-style template args on the
-        // family type itself.
-        if (j < n && t[j].kind == TokKind::Punct && t[j].text == "<") {
-            int depth = 0;
-            for (; j < n; ++j) {
-                if (t[j].kind != TokKind::Punct)
-                    continue;
-                if (t[j].text == "<")
-                    ++depth;
-                else if (t[j].text == ">" && --depth == 0) {
-                    ++j;
-                    break;
-                }
-            }
-        }
-        while (j < n && t[j].kind == TokKind::Punct &&
-               (t[j].text == "&" || t[j].text == "*"))
-            ++j;
-        // Declarator name; a following '(' means a function returning
-        // the type, not a variable.
-        if (j < n && t[j].kind == TokKind::Ident &&
-            !(j + 1 < n && t[j + 1].kind == TokKind::Punct &&
-              t[j + 1].text == "("))
-            out.insert(t[j].text);
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -345,7 +287,6 @@ void
 indexFile(const FileScan& scan, FileIndex& out)
 {
     indexScopes(scan, 0, scan.tokens.size(), out);
-    collectMutexNames(scan, out.mutexNames);
 }
 
 void
@@ -362,7 +303,6 @@ Index::merge(FileIndex&& fi, std::size_t scanIdx)
         d.scanIdx = scanIdx;
         defs.push_back(std::move(d));
     }
-    mutexNames.insert(fi.mutexNames.begin(), fi.mutexNames.end());
 }
 
 } // namespace wglint

@@ -9,7 +9,6 @@
  *   - D1 (interprocedural): every function definition with its body
  *     token range, so the rules layer can build a call graph and
  *     propagate nondeterminism taint across translation units.
- *   - C1: every name declared with a mutex-family type, anywhere.
  *   - C2: per-class lock discipline — WG_GUARDED_BY fields and
  *     WG_REQUIRES-annotated method names (declarations count, so a
  *     header contract covers the out-of-line definition in another
@@ -63,7 +62,6 @@ struct FileIndex
 {
     std::map<std::string, ClassInfo> classes;
     std::vector<FunctionDef> defs; ///< scanIdx unset until merge
-    std::set<std::string> mutexNames;
 };
 
 /** The merged, whole-tree view. */
@@ -71,7 +69,6 @@ struct Index
 {
     std::map<std::string, ClassInfo> classes;
     std::vector<FunctionDef> defs;
-    std::set<std::string> mutexNames;
 
     /**
      * Fold one file's facts in. MUST be called in sorted-path order:

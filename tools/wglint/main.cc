@@ -11,8 +11,7 @@
  *       depend on the host. The check is interprocedural: a call that
  *       transitively reaches an unsuppressed source through any chain
  *       of helpers (across translation units) is flagged at the call
- *       site, with the chain spelled out. `--no-interprocedural`
- *       restores the direct-sites-only v1 behaviour.
+ *       site, with the chain spelled out.
  *   D2  no iteration over unordered containers in result-affecting
  *       code (stats, metrics, report, trace sinks, exporters, tools) —
  *       hash order leaks straight into files CI diffs byte-for-byte.
@@ -20,9 +19,6 @@
  *       the Prometheus '.' -> '_' exposition mapping stays bijective;
  *       likewise JSON keys embedded in string literals (hand-built
  *       wire frames, the event log) stay camelCase.
- *   C1  no raw `.lock()`/`.unlock()` on mutex-typed names outside the
- *       annotated RAII wrappers (common/thread_annotations.hh) — the
- *       static twin of the thread-safety annotation rollout.
  *   C2  lock-discipline drift across TUs: a field the class guards in
  *       one place (WG_GUARDED_BY, or writes under a RAII guard) must
  *       not be written elsewhere without the lock, a WG_REQUIRES /
@@ -138,7 +134,7 @@ int
 usage()
 {
     std::cerr << "usage: wglint [--format=text|jsonl] [--jobs=N] "
-                 "[--no-interprocedural] [--list-rules] path...\n";
+                 "[--list-rules] path...\n";
     return 2;
 }
 
@@ -151,7 +147,6 @@ main(int argc, char** argv)
     std::vector<std::string> roots;
     unsigned jobs = 0; // 0 = hardware-sized shared pool
     bool jobsGiven = false;
-    bool interprocedural = true;
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
         if (arg == "--list-rules") {
@@ -173,10 +168,6 @@ main(int argc, char** argv)
                     return usage();
             jobs = static_cast<unsigned>(std::stoul(value));
             jobsGiven = true;
-            continue;
-        }
-        if (arg == "--no-interprocedural") {
-            interprocedural = false;
             continue;
         }
         if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0)
@@ -234,7 +225,7 @@ main(int argc, char** argv)
         index.merge(std::move(results[i].index), i);
         scans.push_back(std::move(results[i].scan));
     }
-    wglint::checkTree(scans, index, interprocedural, violations);
+    wglint::checkTree(scans, index, violations);
 
     std::sort(violations.begin(), violations.end(),
               wglint::violationLess);

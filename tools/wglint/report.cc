@@ -36,10 +36,6 @@ ruleHint(const std::string& rule)
     if (rule == "H1")
         return "add '#pragma once' as the first directive and keep "
                "'using namespace' out of headers";
-    if (rule == "C1")
-        return "hold the mutex through a RAII guard (wg::MutexLock, "
-               "std::lock_guard) instead of raw lock()/unlock() "
-               "calls, or add '// wglint:allow(C1)' with a rationale";
     if (rule == "C2")
         return "take the class's lock (RAII guard) before writing the "
                "field, mark the method WG_REQUIRES(mu) / name it "
@@ -88,8 +84,6 @@ printRules(std::ostream& out)
         << "D4  metric-name literals passed to StatSet accessors and "
            "JSON keys embedded in string literals (wire frames, "
            "event log) contain no '_'\n"
-        << "C1  no raw mutex lock()/unlock() calls outside the "
-           "annotated RAII wrappers (common/thread_annotations.hh)\n"
         << "C2  a field guarded by a lock in one place (WG_GUARDED_BY "
            "or writes under a RAII guard) is not written elsewhere "
            "without the lock, a WG_REQUIRES/*Locked contract, or a "

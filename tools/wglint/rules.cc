@@ -636,45 +636,6 @@ checkD1Interprocedural(const std::vector<FileScan>& scans,
 }
 
 // ---------------------------------------------------------------------
-// C1: raw mutex lock()/unlock() outside the RAII wrappers
-// ---------------------------------------------------------------------
-
-void
-checkC1(const std::vector<FileScan>& scans, const Index& index,
-        std::vector<Violation>& out)
-{
-    for (const FileScan& scan : scans) {
-        // The annotated wrappers are the one sanctioned home for raw
-        // lock()/unlock() — that is their whole job.
-        if (fs::path(scan.path).filename() == "thread_annotations.hh")
-            continue;
-        const std::vector<Token>& t = scan.tokens;
-        for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Ident ||
-                !index.mutexNames.count(t[i].text))
-                continue;
-            if (t[i + 1].kind != TokKind::Punct ||
-                (t[i + 1].text != "." && t[i + 1].text != "->"))
-                continue;
-            if (t[i + 2].kind != TokKind::Ident ||
-                (t[i + 2].text != "lock" &&
-                 t[i + 2].text != "unlock"))
-                continue;
-            if (t[i + 3].kind != TokKind::Punct ||
-                t[i + 3].text != "(")
-                continue;
-            if (suppressed(scan, "C1", t[i].line))
-                continue;
-            out.push_back(
-                {"C1", scan.path, t[i].line,
-                 "raw " + t[i + 2].text + "() on mutex '" +
-                     t[i].text + "' outside a RAII guard",
-                 ruleHint("C1")});
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // C2: cross-TU unlocked writes to lock-guarded fields
 // ---------------------------------------------------------------------
 
@@ -760,16 +721,14 @@ checkFile(const FileScan& scan, std::vector<Violation>& out)
 
 void
 checkTree(const std::vector<FileScan>& scans, const Index& index,
-          bool interprocedural, std::vector<Violation>& out)
+          std::vector<Violation>& out)
 {
     std::vector<BodySemantics> sems;
     sems.reserve(index.defs.size());
     for (const FunctionDef& def : index.defs)
         sems.push_back(analyzeBody(scans[def.scanIdx], def));
 
-    if (interprocedural)
-        checkD1Interprocedural(scans, index, sems, out);
-    checkC1(scans, index, out);
+    checkD1Interprocedural(scans, index, sems, out);
     checkC2(scans, index, sems, out);
 }
 

@@ -6,7 +6,7 @@
  * read exactly one FileScan, so the driver may run them from worker
  * threads, one file per task, with no shared state.
  *
- * checkTree — the whole-tree rules (C1, C2 and the
+ * checkTree — the whole-tree rules (C2 and the
  * interprocedural extension of D1). They run once, serially, after
  * every per-file index has been merged in sorted-path order, so their
  * output is deterministic and independent of scan parallelism.
@@ -37,12 +37,11 @@ namespace wglint {
 void checkFile(const FileScan& scan, std::vector<Violation>& out);
 
 /**
- * Whole-tree rules over the merged index: C1, C2 and — unless
- * `interprocedural` is false (`--no-interprocedural`, the v1 D1
- * behaviour) — cross-function D1 taint. `scans` must be the vector
- * the FunctionDef::scanIdx values refer to.
+ * Whole-tree rules over the merged index: C2 and cross-function D1
+ * taint. `scans` must be the vector the FunctionDef::scanIdx values
+ * refer to.
  */
 void checkTree(const std::vector<FileScan>& scans, const Index& index,
-               bool interprocedural, std::vector<Violation>& out);
+               std::vector<Violation>& out);
 
 } // namespace wglint

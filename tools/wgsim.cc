@@ -76,7 +76,9 @@ constexpr FlagSpec kFlags[] = {
      "metrics serialisation: csv|jsonl|prom"},
     {"profile", FlagKind::Bool, "",
      "self-profile: include wall-clock phase timers, pool stats and "
-     "fast-forward coverage (profile.*) in the metrics registry"},
+     "fast-forward coverage (profile.*) in the metrics registry and "
+     "print a phase table; the table's export row includes the "
+     "--metrics write, the file's own profile.phase.export cannot"},
     {"checkpoint-at", FlagKind::Int, "0",
      "pause at this cycle (epoch boundaries by convention) and write "
      "the snapshot named by --checkpoint (single benchmark only)"},
@@ -376,11 +378,13 @@ main(int argc, char** argv)
 
     if (metering || profiling) {
         StatSet registry = metrics::toStatSet(results[0]);
-        const double elapsed =
-            std::chrono::duration<double>(
-                // wglint:allow(D1): profiling wall clock (opt-in)
-                std::chrono::steady_clock::now() - wall_start)
+        const auto elapsedSeconds = [&wall_start] {
+            return std::chrono::duration<double>(
+                       // wglint:allow(D1): profiling wall clock (opt-in)
+                       std::chrono::steady_clock::now() - wall_start)
                 .count();
+        };
+        const double elapsed = elapsedSeconds();
         PoolStats pool_stats = ThreadPool::global().stats();
         if (profiling) {
             // Wall-clock self-profiling is opt-in: these values differ
@@ -404,6 +408,11 @@ main(int argc, char** argv)
                          static_cast<double>(mcollector.ffSpans));
         }
         if (metering) {
+            // Counted in the export row of the table below; the
+            // registry was published above, so the metrics file's own
+            // profile.phase.export cannot include this write.
+            metrics::PhaseTimers::Scope timer(
+                profiling ? &mcollector.profile : nullptr, "export");
             metrics::writeMetricsFile(args.getString("metrics"),
                                       &mcollector, registry,
                                       metrics_format);
@@ -417,7 +426,7 @@ main(int argc, char** argv)
             for (const auto& [phase, secs] :
                  mcollector.profile.seconds())
                 table.row({phase, Table::num(secs, 3)});
-            table.row({"total elapsed", Table::num(elapsed, 3)});
+            table.row({"total elapsed", Table::num(elapsedSeconds(), 3)});
             table.row({"pool busy (all tasks)",
                        Table::num(pool_stats.busySeconds, 3)});
             table.print();
