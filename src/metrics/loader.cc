@@ -14,9 +14,11 @@ namespace {
 /**
  * Input limits of every loaded JSON document: the DOM's defaults. The
  * largest files wgsim and wgctl write stay far inside them: a final
- * registry line holds about 230 members (64 SMs, --profile), a --json
- * report nests four levels deep and its idle histograms have 65 bins.
- * Nesting past maxDepth is a clean parse error, never a stack overflow.
+ * registry line holds about 230 members (64 SMs, --profile); a --json
+ * file nests six levels deep and holds one result per cell of the run
+ * (108 for a wgctl sweep of every bench and technique), each with
+ * about 160 registry members and two 65-bin idle histograms. Nesting
+ * past maxDepth is a clean parse error, never a stack overflow.
  */
 constexpr JsonLimits kLoaderLimits{};
 

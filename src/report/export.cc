@@ -1,159 +1,113 @@
 #include "export.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
-#include "common/jsonescape.hh"
+#include "common/codec.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "metrics/registry.hh"
 
 namespace wg {
 
 namespace {
 
-void
-jsonHistogram(std::ostringstream& os, const Histogram& h)
+/** One CSV column and the registry entry whose value it prints. */
+struct CsvColumn
 {
-    os << "{\"bins\":[";
-    for (std::uint64_t b = 0; b <= h.maxBin(); ++b) {
-        if (b)
+    const char* name;
+    const char* metric; ///< nullptr: an identification column
+};
+
+// Column order is the figure-data format. The identification columns
+// print, in order, the label, the scheduler and the gating policy.
+constexpr CsvColumn kCsvColumns[] = {
+    {"label", nullptr},
+    {"scheduler", nullptr},
+    {"pg_policy", nullptr},
+    {"adaptive", "config.adaptive"},
+    {"num_sms", "config.numSms"},
+    {"cycles", "gpu.cycles"},
+    {"ipc", "gpu.ipc"},
+    {"avg_active_warps", "gpu.avgActiveWarps"},
+    {"int_busy_frac", "gpu.pg.int.busyFraction"},
+    {"fp_busy_frac", "gpu.pg.fp.busyFraction"},
+    {"int_static_savings", "gpu.energy.int.savingsRatio"},
+    {"fp_static_savings", "gpu.energy.fp.savingsRatio"},
+    {"int_wakeups", "gpu.pg.int.wakeups"},
+    {"fp_wakeups", "gpu.pg.fp.wakeups"},
+    {"int_critical", "gpu.pg.int.criticalWakeups"},
+    {"fp_critical", "gpu.pg.fp.criticalWakeups"},
+    {"int_gating_events", "gpu.pg.int.gatingEvents"},
+    {"fp_gating_events", "gpu.pg.fp.gatingEvents"},
+    {"mem_misses", "gpu.mem.misses"},
+};
+
+std::string
+csvRow(const std::string& label, const SimResult& r, const StatSet& stats)
+{
+    const std::string ident[] = {label,
+                                 schedulerPolicyName(r.config.sm.scheduler),
+                                 pgPolicyName(r.config.sm.pg.policy)};
+    std::size_t next_ident = 0;
+    std::ostringstream os;
+    for (std::size_t i = 0; i < std::size(kCsvColumns); ++i) {
+        const CsvColumn& c = kCsvColumns[i];
+        if (i > 0)
             os << ',';
-        os << h.bin(b);
+        if (c.metric == nullptr) {
+            os << ident[next_ident++];
+            continue;
+        }
+        const auto it = stats.entries().find(c.metric);
+        if (it == stats.entries().end())
+            panic("CSV column '", c.name, "' names no registry entry '",
+                  c.metric, "'");
+        // A count >= 1e6 through operator<< would print as 1e+06.
+        const double v = it->second;
+        if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0)
+            os << static_cast<std::int64_t>(v);
+        else
+            os << v;
     }
-    os << "],\"overflow\":" << h.overflow() << ",\"total\":" << h.total()
-       << ",\"sum\":" << h.sum() << "}";
+    return os.str();
 }
 
-void
-jsonTypeStats(std::ostringstream& os, const PgDomainStats& s)
+Json
+resultJson(const std::string& label, const SimResult& r,
+           const StatSet& stats)
 {
-    os << "{\"busy\":" << s.busyCycles << ",\"idle_on\":" << s.idleOnCycles
-       << ",\"uncomp\":" << s.uncompCycles << ",\"comp\":" << s.compCycles
-       << ",\"wakeup_cycles\":" << s.wakeupCycles
-       << ",\"gating_events\":" << s.gatingEvents
-       << ",\"wakeups\":" << s.wakeups
-       << ",\"uncomp_wakeups\":" << s.uncompWakeups
-       << ",\"critical_wakeups\":" << s.criticalWakeups << "}";
-}
-
-void
-jsonEnergy(std::ostringstream& os, const UnitEnergy& e)
-{
-    os << "{\"dynamic_j\":" << e.dynamicE << ",\"static_j\":" << e.staticE
-       << ",\"overhead_j\":" << e.overheadE
-       << ",\"static_saved_j\":" << e.staticSaved
-       << ",\"static_no_pg_j\":" << e.staticNoPg
-       << ",\"savings_ratio\":" << e.staticSavingsRatio() << "}";
-}
-
-double
-busyFraction(const SimResult& r, UnitClass uc)
-{
-    if (r.totalSmCycles == 0)
-        return 0.0;
-    return static_cast<double>(r.typeStats(uc).busyCycles) /
-           (2.0 * static_cast<double>(r.totalSmCycles));
+    Json doc = Json::object();
+    doc.set("label", Json::string(label));
+    doc.set("scheduler",
+            Json::string(schedulerPolicyName(r.config.sm.scheduler)));
+    doc.set("pgPolicy", Json::string(pgPolicyName(r.config.sm.pg.policy)));
+    Json metrics = Json::object();
+    for (const auto& [name, value] : stats.entries())
+        metrics.set(name, Json::number(value));
+    doc.set("metrics", std::move(metrics));
+    Json hists = Json::object();
+    hists.set("int", codec::histogramToJson(r.intIdleHist));
+    hists.set("fp", codec::histogramToJson(r.fpIdleHist));
+    doc.set("idleHistograms", std::move(hists));
+    return doc;
 }
 
 } // namespace
-
-const std::vector<ExportField>&
-csvSchema()
-{
-    // Column order is the wire format; toCsvRow emits in this order.
-    static const std::vector<ExportField> schema = {
-        {"label", ""},
-        {"scheduler", ""},
-        {"pg_policy", ""},
-        {"adaptive", "config.adaptive"},
-        {"num_sms", "config.numSms"},
-        {"cycles", "gpu.cycles"},
-        {"ipc", "gpu.ipc"},
-        {"avg_active_warps", "gpu.avgActiveWarps"},
-        {"int_busy_frac", "gpu.pg.int.busyFraction"},
-        {"fp_busy_frac", "gpu.pg.fp.busyFraction"},
-        {"int_static_savings", "gpu.energy.int.savingsRatio"},
-        {"fp_static_savings", "gpu.energy.fp.savingsRatio"},
-        {"int_wakeups", "gpu.pg.int.wakeups"},
-        {"fp_wakeups", "gpu.pg.fp.wakeups"},
-        {"int_critical", "gpu.pg.int.criticalWakeups"},
-        {"fp_critical", "gpu.pg.fp.criticalWakeups"},
-        {"int_gating_events", "gpu.pg.int.gatingEvents"},
-        {"fp_gating_events", "gpu.pg.fp.gatingEvents"},
-        {"mem_misses", "gpu.mem.misses"},
-    };
-    return schema;
-}
-
-const std::vector<ExportField>&
-jsonSchema()
-{
-    auto type_block = [](const std::string& json_type,
-                         const std::string& reg_type) {
-        std::vector<ExportField> fields = {
-            {json_type + ".stats.busy", "gpu.pg." + reg_type + ".busyCycles"},
-            {json_type + ".stats.idle_on",
-             "gpu.pg." + reg_type + ".idleOnCycles"},
-            {json_type + ".stats.uncomp",
-             "gpu.pg." + reg_type + ".uncompCycles"},
-            {json_type + ".stats.comp",
-             "gpu.pg." + reg_type + ".compCycles"},
-            {json_type + ".stats.wakeup_cycles",
-             "gpu.pg." + reg_type + ".wakeupCycles"},
-            {json_type + ".stats.gating_events",
-             "gpu.pg." + reg_type + ".gatingEvents"},
-            {json_type + ".stats.wakeups",
-             "gpu.pg." + reg_type + ".wakeups"},
-            {json_type + ".stats.uncomp_wakeups",
-             "gpu.pg." + reg_type + ".uncompWakeups"},
-            {json_type + ".stats.critical_wakeups",
-             "gpu.pg." + reg_type + ".criticalWakeups"},
-            {json_type + ".energy.dynamic_j",
-             "gpu.energy." + reg_type + ".dynamicJ"},
-            {json_type + ".energy.static_j",
-             "gpu.energy." + reg_type + ".staticJ"},
-            {json_type + ".energy.overhead_j",
-             "gpu.energy." + reg_type + ".overheadJ"},
-            {json_type + ".energy.static_saved_j",
-             "gpu.energy." + reg_type + ".staticSavedJ"},
-            {json_type + ".energy.static_no_pg_j",
-             "gpu.energy." + reg_type + ".staticNoPgJ"},
-            {json_type + ".energy.savings_ratio",
-             "gpu.energy." + reg_type + ".savingsRatio"},
-        };
-        return fields;
-    };
-    static const std::vector<ExportField> schema = [&type_block] {
-        std::vector<ExportField> s = {
-            {"config.adaptive", "config.adaptive"},
-            {"config.idle_detect", "config.idleDetect"},
-            {"config.break_even", "config.breakEven"},
-            {"config.wakeup_delay", "config.wakeupDelay"},
-            {"config.num_sms", "config.numSms"},
-            {"cycles", "gpu.cycles"},
-            {"total_sm_cycles", "gpu.totalSmCycles"},
-            {"ipc", "gpu.ipc"},
-            {"avg_active_warps", "gpu.avgActiveWarps"},
-            {"instructions", "gpu.instructions"},
-        };
-        for (const auto& f : type_block("int", "int"))
-            s.push_back(f);
-        for (const auto& f : type_block("fp", "fp"))
-            s.push_back(f);
-        return s;
-    }();
-    return schema;
-}
 
 std::string
 csvHeader()
 {
     std::string header;
-    for (const ExportField& f : csvSchema()) {
+    for (const CsvColumn& c : kCsvColumns) {
         if (!header.empty())
             header += ',';
-        header += f.column;
+        header += c.name;
     }
     return header;
 }
@@ -161,62 +115,13 @@ csvHeader()
 std::string
 toCsvRow(const std::string& label, const SimResult& r)
 {
-    PgDomainStats si = r.typeStats(UnitClass::Int);
-    PgDomainStats sf = r.typeStats(UnitClass::Fp);
-    std::ostringstream os;
-    os << label << ','
-       << schedulerPolicyName(r.config.sm.scheduler) << ','
-       << pgPolicyName(r.config.sm.pg.policy) << ','
-       << (r.config.sm.pg.adaptiveIdleDetect ? 1 : 0) << ','
-       << r.config.numSms << ',' << r.cycles << ',' << r.ipc() << ','
-       << r.aggregate.avgActiveWarps() << ','
-       << busyFraction(r, UnitClass::Int) << ','
-       << busyFraction(r, UnitClass::Fp) << ','
-       << r.intEnergy.staticSavingsRatio() << ','
-       << r.fpEnergy.staticSavingsRatio() << ',' << si.wakeups << ','
-       << sf.wakeups << ',' << si.criticalWakeups << ','
-       << sf.criticalWakeups << ',' << si.gatingEvents << ','
-       << sf.gatingEvents << ',' << r.aggregate.memMisses;
-    return os.str();
+    return csvRow(label, r, metrics::toStatSet(r));
 }
 
 std::string
 toJson(const std::string& label, const SimResult& r)
 {
-    std::ostringstream os;
-    os << "{\n  \"label\": \"" << jsonEscape(label) << "\",\n";
-    os << "  \"config\": {\"scheduler\": \""
-       << schedulerPolicyName(r.config.sm.scheduler)
-       << "\", \"pg_policy\": \"" << pgPolicyName(r.config.sm.pg.policy)
-       << "\", \"adaptive\": "
-       << (r.config.sm.pg.adaptiveIdleDetect ? "true" : "false")
-       << ", \"idle_detect\": " << r.config.sm.pg.idleDetect
-       << ", \"break_even\": " << r.config.sm.pg.breakEven
-       << ", \"wakeup_delay\": " << r.config.sm.pg.wakeupDelay
-       << ", \"num_sms\": " << r.config.numSms << "},\n";
-    os << "  \"cycles\": " << r.cycles << ",\n";
-    os << "  \"total_sm_cycles\": " << r.totalSmCycles << ",\n";
-    os << "  \"ipc\": " << r.ipc() << ",\n";
-    os << "  \"avg_active_warps\": " << r.aggregate.avgActiveWarps()
-       << ",\n";
-    os << "  \"instructions\": " << r.aggregate.issuedTotal << ",\n";
-
-    os << "  \"int\": {\"stats\": ";
-    jsonTypeStats(os, r.typeStats(UnitClass::Int));
-    os << ", \"energy\": ";
-    jsonEnergy(os, r.intEnergy);
-    os << ", \"idle_histogram\": ";
-    jsonHistogram(os, r.intIdleHist);
-    os << "},\n";
-
-    os << "  \"fp\": {\"stats\": ";
-    jsonTypeStats(os, r.typeStats(UnitClass::Fp));
-    os << ", \"energy\": ";
-    jsonEnergy(os, r.fpEnergy);
-    os << ", \"idle_histogram\": ";
-    jsonHistogram(os, r.fpIdleHist);
-    os << "}\n}";
-    return os.str();
+    return resultJson(label, r, metrics::toStatSet(r)).dump();
 }
 
 void
@@ -250,6 +155,34 @@ printSummary(std::ostream& os, const std::string& label,
        << ", avg active warps "
        << Table::num(r.aggregate.avgActiveWarps(), 1) << ", mem misses "
        << r.aggregate.memMisses << "\n\n";
+}
+
+void
+reportResults(std::ostream& os, const std::vector<LabelledResult>& results,
+              bool quiet, const std::string& csvPath,
+              const std::string& jsonPath)
+{
+    std::string csv = csvHeader() + "\n";
+    Json docs = Json::array();
+    for (const LabelledResult& lr : results) {
+        if (!quiet)
+            printSummary(os, lr.label, *lr.result);
+        if (csvPath.empty() && jsonPath.empty())
+            continue;
+        const StatSet stats = metrics::toStatSet(*lr.result);
+        csv += csvRow(lr.label, *lr.result, stats) + "\n";
+        docs.append(resultJson(lr.label, *lr.result, stats));
+    }
+    if (!csvPath.empty()) {
+        writeFile(csvPath, csv);
+        inform("wrote ", csvPath);
+    }
+    if (!jsonPath.empty()) {
+        Json doc = Json::object();
+        doc.set("results", std::move(docs));
+        writeFile(jsonPath, doc.dump() + "\n");
+        inform("wrote ", jsonPath);
+    }
 }
 
 void

@@ -1,7 +1,10 @@
 /**
  * @file
  * Machine-readable result export: CSV rows and JSON documents for
- * downstream analysis (plotting scripts, regression tracking).
+ * downstream analysis (plotting scripts, regression tracking). Every
+ * number is read from the metrics registry (metrics::toStatSet), the
+ * one source of result values and names that `--metrics`, prom,
+ * wgreport and serve read too.
  */
 
 #pragma once
@@ -15,32 +18,8 @@
 namespace wg {
 
 /**
- * One exported CSV column (or dotted JSON path) and the name of the
- * metrics-registry entry (metrics::toStatSet) carrying the same value.
- * `metric` is empty for identification columns (label, policy names)
- * that have no numeric registry twin. The schema-drift guard test
- * cross-checks every mapped field against the registry, so a column
- * added to one export path but not the other fails fast.
- */
-struct ExportField
-{
-    std::string column; ///< CSV column name / dotted JSON path
-    std::string metric; ///< registry name, "" for non-numeric columns
-};
-
-/** The CSV columns, in order; csvHeader() is generated from this. */
-const std::vector<ExportField>& csvSchema();
-
-/**
- * The numeric JSON leaves (as dotted paths, matching
- * metrics::flattenJson) that have a registry twin. Histogram bins are
- * deliberately absent: the registry keeps scalars only.
- */
-const std::vector<ExportField>& jsonSchema();
-
-/**
- * Stable CSV schema for simulation results. Columns:
- * label, scheduler, pg_policy, adaptive, num_sms, cycles, ipc,
+ * Stable CSV schema for simulation results (the figure-data format).
+ * Columns: label, scheduler, pg_policy, adaptive, num_sms, cycles, ipc,
  * avg_active_warps, int_busy_frac, fp_busy_frac,
  * int_static_savings, fp_static_savings,
  * int_wakeups, fp_wakeups, int_critical, fp_critical,
@@ -48,26 +27,49 @@ const std::vector<ExportField>& jsonSchema();
  */
 std::string csvHeader();
 
-/** One CSV row for @p result, labelled @p label (e.g. the benchmark). */
+/**
+ * One CSV row for @p result, labelled @p label (e.g. the benchmark).
+ * Integral values print exactly, others with operator<<'s 6 significant
+ * digits.
+ */
 std::string toCsvRow(const std::string& label, const SimResult& result);
 
 /**
- * JSON document for @p result: configuration summary, headline metrics,
- * per-type gating statistics, energy ledgers, and the idle-period
- * histograms (bins 0..maxBin plus overflow).
+ * JSON document for @p result: its label, scheduler and gating policy
+ * names, every registry entry under "metrics" (lossless: each number
+ * parses back to the registry's double), and the INT/FP idle-period
+ * histograms under "idleHistograms".
  */
 std::string toJson(const std::string& label, const SimResult& result);
 
 /**
  * The human-readable per-benchmark summary (the INT/FP gating table
- * plus the cycles/IPC line). Shared by wgsim and wgctl so a served
- * result prints byte-identically to an offline run.
+ * plus the cycles/IPC line).
  */
 void printSummary(std::ostream& os, const std::string& label,
                   const SimResult& result);
+
+/** One result of a run and the label it is reported under. */
+struct LabelledResult
+{
+    std::string label;
+    const SimResult* result;
+};
+
+/**
+ * Report a run's results in run order: each one's summary to @p os
+ * unless @p quiet, the CSV header and one row per result to
+ * @p csvPath, and one JSON document {"results": [...]} holding every
+ * result's toJson document to @p jsonPath. An empty path writes no
+ * file. Shared by wgsim and wgctl, so a served result reports
+ * byte-identically to an offline run.
+ */
+void reportResults(std::ostream& os,
+                   const std::vector<LabelledResult>& results, bool quiet,
+                   const std::string& csvPath,
+                   const std::string& jsonPath);
 
 /** Write @p content to @p path; fatal() on I/O failure. */
 void writeFile(const std::string& path, const std::string& content);
 
 } // namespace wg
-

@@ -1,28 +1,21 @@
 /**
  * @file
- * Schema-drift guard: the report/export CSV columns and JSON keys must
- * stay in lock-step with the metrics registry (metrics::toStatSet).
- * Both export paths declare their schema (csvSchema/jsonSchema) as
- * column -> registry-name mappings; this test runs one simulation and
- * cross-checks every mapped field's exported value against the
- * registry, so a metric added to one layer but not the other — or
- * renamed on one side only — fails here instead of silently diverging.
+ * The metrics registry's names against its Prometheus exposition:
+ * every name a real simulation registers has a catalogued # HELP
+ * string, gets its # HELP and # TYPE lines, and maps to a distinct
+ * Prometheus name.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/presets.hh"
 #include "metrics/exporters.hh"
-#include "metrics/loader.hh"
 #include "metrics/registry.hh"
-#include "report/export.hh"
 #include "sim/gpu.hh"
 
 namespace wg {
@@ -38,114 +31,6 @@ smallRun()
     p.kernelLength = 400;
     p.residentWarps = 16;
     return gpu.run(p, nullptr);
-}
-
-/** Split one CSV line on commas (the exports never quote cells). */
-std::vector<std::string>
-splitCsv(const std::string& line)
-{
-    std::vector<std::string> cells;
-    std::size_t pos = 0;
-    while (true) {
-        std::size_t comma = line.find(',', pos);
-        if (comma == std::string::npos) {
-            cells.push_back(line.substr(pos));
-            return cells;
-        }
-        cells.push_back(line.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-}
-
-/** The exports print ~6 significant digits; compare accordingly. */
-void
-expectClose(double exported, double registry, const std::string& what)
-{
-    double scale = std::max(1.0, std::fabs(registry));
-    EXPECT_NEAR(exported, registry, 1e-4 * scale) << what;
-}
-
-TEST(ExportSchema, CsvHeaderIsGeneratedFromSchema)
-{
-    std::string expected;
-    for (const ExportField& f : csvSchema()) {
-        if (!expected.empty())
-            expected += ',';
-        expected += f.column;
-    }
-    EXPECT_EQ(csvHeader(), expected);
-}
-
-TEST(ExportSchema, CsvRowMatchesRegistry)
-{
-    SimResult r = smallRun();
-    StatSet registry = metrics::toStatSet(r);
-
-    std::vector<std::string> cells = splitCsv(toCsvRow("hotspot", r));
-    const std::vector<ExportField>& schema = csvSchema();
-    // Every column is declared; a row/schema length mismatch means a
-    // column was added to toCsvRow without declaring it (or vice
-    // versa).
-    ASSERT_EQ(cells.size(), schema.size());
-
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-        if (schema[i].metric.empty())
-            continue; // identification column (label, policy names)
-        ASSERT_TRUE(registry.has(schema[i].metric))
-            << "csv column '" << schema[i].column
-            << "' maps to unknown registry name '" << schema[i].metric
-            << "'";
-        expectClose(std::strtod(cells[i].c_str(), nullptr),
-                    registry.get(schema[i].metric),
-                    schema[i].column + " vs " + schema[i].metric);
-    }
-}
-
-TEST(ExportSchema, JsonKeysMatchRegistry)
-{
-    SimResult r = smallRun();
-    StatSet registry = metrics::toStatSet(r);
-
-    StatSet flat;
-    std::string error;
-    ASSERT_TRUE(metrics::flattenJson(toJson("hotspot", r), flat, error))
-        << error;
-
-    for (const ExportField& f : jsonSchema()) {
-        ASSERT_TRUE(flat.has(f.column))
-            << "json schema lists absent key '" << f.column << "'";
-        ASSERT_TRUE(registry.has(f.metric))
-            << "json key '" << f.column
-            << "' maps to unknown registry name '" << f.metric << "'";
-        expectClose(flat.get(f.column), registry.get(f.metric),
-                    f.column + " vs " + f.metric);
-    }
-}
-
-TEST(ExportSchema, EveryNumericJsonLeafIsDeclared)
-{
-    // The completeness direction: adding a numeric key to toJson
-    // without giving it a registry twin must fail. Histogram bins are
-    // the one sanctioned exception (the registry keeps scalars only).
-    SimResult r = smallRun();
-    StatSet flat;
-    std::string error;
-    ASSERT_TRUE(metrics::flattenJson(toJson("hotspot", r), flat, error))
-        << error;
-
-    std::vector<std::string> declared;
-    for (const ExportField& f : jsonSchema())
-        declared.push_back(f.column);
-
-    for (const auto& [key, value] : flat.entries()) {
-        (void)value;
-        if (key.find("idle_histogram") != std::string::npos)
-            continue;
-        EXPECT_NE(std::find(declared.begin(), declared.end(), key),
-                  declared.end())
-            << "numeric JSON key '" << key
-            << "' has no jsonSchema entry";
-    }
 }
 
 TEST(ExportSchema, EveryRegistryMetricHasCataloguedHelp)

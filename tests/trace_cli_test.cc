@@ -1,7 +1,8 @@
 // End-to-end tests of the JSONL trace path through the real binaries:
 // wgsim records a trace, wgtrace replays it. Covers the exit codes
 // (0 clean, 1 unchecked SMs, 2 parse errors) and the diagnostics that
-// unit tests of the reader cannot see.
+// unit tests of the reader cannot see. Also checks that wgsim's --json
+// file holds every result of a multi-benchmark run.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -223,6 +224,37 @@ TEST_F(TraceCli, FirstLineNotMetaExitsTwo)
     EXPECT_NE(r.output.find("does not start with a meta line"),
               std::string::npos)
         << r.output;
+}
+
+TEST(WgsimCli, JsonHoldsEveryResultInRunOrder)
+{
+    const std::string base = ::testing::TempDir() + "wg_report_cli_" +
+                             std::to_string(getpid());
+    const ToolRun r = run(std::string(WGSIM_BINARY) +
+                          " --bench all --sms 1 --quiet --csv " + base +
+                          ".csv --json " + base + ".json");
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    const std::vector<std::string> rows = readLines(base + ".csv");
+    const std::vector<std::string> json = readLines(base + ".json");
+    std::remove((base + ".csv").c_str());
+    std::remove((base + ".json").c_str());
+    ASSERT_EQ(json.size(), 1u);
+    ASSERT_GT(rows.size(), 2u); // the header and several benchmarks
+
+    // One result per CSV row, in the same order, and no others.
+    const std::string result = "{\"label\":";
+    std::size_t results = 0;
+    for (std::size_t at = json[0].find(result); at != std::string::npos;
+         at = json[0].find(result, at + 1))
+        ++results;
+    EXPECT_EQ(results, rows.size() - 1);
+    std::size_t at = 0;
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        const std::string label = rows[i].substr(0, rows[i].find(','));
+        at = json[0].find(result + "\"" + label + "\"", at);
+        ASSERT_NE(at, std::string::npos)
+            << label << " missing or out of order";
+    }
 }
 
 } // namespace

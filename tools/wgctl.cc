@@ -68,8 +68,9 @@ constexpr FlagSpec kFlags[] = {
     {"timeout-sec", FlagKind::Int, "600",
      "deadline for --wait / drain / slow responses"},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
-    {"csv", FlagKind::String, "", "append CSV rows to this file"},
-    {"json", FlagKind::String, "", "write a JSON report to this file"},
+    {"csv", FlagKind::String, "", "write CSV rows to this file"},
+    {"json", FlagKind::String, "",
+     "write every result as one JSON document to this file"},
     {"metrics", FlagKind::String, "",
      "write the final metric registry (jsonl) to this file "
      "(single-cell results only; wgreport-comparable)"},
@@ -147,30 +148,18 @@ buildSpec(const ArgParser& args, SweepSpec& spec)
 
 /**
  * Print/export fetched cells exactly as wgsim does for an offline run
- * of the same sweep: per-cell summary, CSV rows, JSON of the last
- * cell, metrics registry of the only cell.
+ * of the same sweep: per-cell summary, CSV rows and JSON document of
+ * every cell, metrics registry of the only cell.
  */
 int
 emitCells(const ArgParser& args,
           const std::vector<serve::wire::ResultCell>& cells)
 {
-    std::ostringstream csv;
-    csv << csvHeader() << "\n";
-    std::string json;
-    for (const serve::wire::ResultCell& cell : cells) {
-        if (!args.getBool("quiet"))
-            printSummary(std::cout, cell.bench, cell.result);
-        csv << toCsvRow(cell.bench, cell.result) << "\n";
-        json = toJson(cell.bench, cell.result);
-    }
-    if (args.given("csv")) {
-        writeFile(args.getString("csv"), csv.str());
-        inform("wrote ", args.getString("csv"));
-    }
-    if (args.given("json") && !json.empty()) {
-        writeFile(args.getString("json"), json);
-        inform("wrote ", args.getString("json"));
-    }
+    std::vector<LabelledResult> report;
+    for (const serve::wire::ResultCell& cell : cells)
+        report.push_back({cell.bench, &cell.result});
+    reportResults(std::cout, report, args.getBool("quiet"),
+                  args.getString("csv"), args.getString("json"));
     if (args.given("metrics")) {
         if (cells.size() != 1) {
             std::fprintf(stderr,

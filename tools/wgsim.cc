@@ -55,8 +55,9 @@ constexpr FlagSpec kFlags[] = {
     {"no-fastforward", FlagKind::Bool, "",
      "disable the event-horizon fast-forward and step every cycle "
      "(bit-identical results, slower; for cross-checking)"},
-    {"csv", FlagKind::String, "", "append CSV rows to this file"},
-    {"json", FlagKind::String, "", "write a JSON report to this file"},
+    {"csv", FlagKind::String, "", "write CSV rows to this file"},
+    {"json", FlagKind::String, "",
+     "write every result as one JSON document to this file"},
     {"list", FlagKind::Bool, "", "list the benchmark suite and exit"},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
     {"serial", FlagKind::Bool, "",
@@ -279,9 +280,6 @@ main(int argc, char** argv)
     metrics::Collector* mets =
         (metering || profiling) ? &mcollector : nullptr;
 
-    std::ostringstream csv;
-    csv << csvHeader() << "\n";
-
     // Schedule every benchmark's simulation on the shared pool (each
     // one additionally fans its per-SM jobs into the same pool), then
     // report in suite order. --serial keeps everything on this thread;
@@ -346,27 +344,14 @@ main(int argc, char** argv)
         results = pool->waitAll(futures);
     }
 
-    std::string json;
-    for (std::size_t i = 0; i < benches.size(); ++i) {
-        const std::string& bench = benches[i];
-        const SimResult& r = results[i];
-        if (!args.getBool("quiet"))
-            printSummary(std::cout, bench, r);
-        csv << toCsvRow(bench, r) << "\n";
-        json = toJson(bench, r); // JSON export keeps the last result
-    }
-
     {
         metrics::PhaseTimers::Scope timer(
             profiling ? &mcollector.profile : nullptr, "export");
-        if (args.given("csv")) {
-            writeFile(args.getString("csv"), csv.str());
-            inform("wrote ", args.getString("csv"));
-        }
-        if (args.given("json") && !json.empty()) {
-            writeFile(args.getString("json"), json);
-            inform("wrote ", args.getString("json"));
-        }
+        std::vector<LabelledResult> report;
+        for (std::size_t i = 0; i < benches.size(); ++i)
+            report.push_back({benches[i], &results[i]});
+        reportResults(std::cout, report, args.getBool("quiet"),
+                      args.getString("csv"), args.getString("json"));
         if (tracing) {
             trace::writeTraceFile(args.getString("trace"), collector,
                                   trace_format, pool);
