@@ -7,7 +7,7 @@
 #
 #   1. wgsim --checkpoint-at/--resume: split CSV equals unsplit CSV;
 #   2. the split run's --metrics and --trace files equal the unsplit
-#      run's byte for byte (cmp AND wgreport --tol 0);
+#      run's byte for byte (cmp AND wgreport --tol 0 --abs-tol 0);
 #   3. fast-forward asymmetry: an FF-on capture resumed with
 #      --no-fastforward still matches;
 #   4. snapshot documents are stable: checkpointing the resumed state
@@ -97,7 +97,7 @@ cmp "$WORK/whole.csv" "$WORK/split.csv" \
 echo "checkpoint_e2e: gate 2 — metrics and trace files byte-identical"
 cmp "$WORK/whole.jsonl" "$WORK/split.jsonl" \
     || fail "split metrics file is not byte-identical"
-timeout "$STEP_TIMEOUT" "$BUILD/tools/wgreport" --tol 0 \
+timeout "$STEP_TIMEOUT" "$BUILD/tools/wgreport" --tol 0 --abs-tol 0 \
     "$WORK/whole.jsonl" "$WORK/split.jsonl" \
     || fail "split metrics registry drifted at tol 0"
 cmp "$WORK/whole.trace" "$WORK/split.trace" \

@@ -7,11 +7,11 @@
 #
 #   1. wgctl's stdout is byte-identical to the offline wgsim run;
 #   2. the streamed metrics registry matches the committed baseline
-#      (ci/metrics-baseline-hotspot.jsonl) at wgreport --tol 0;
+#      (ci/metrics-baseline-hotspot.jsonl) at wgreport --tol 0 --abs-tol 0;
 #   3. the streamed registry matches a fresh offline --metrics export
-#      at --tol 0;
+#      at --tol 0 --abs-tol 0;
 #   4. `wgctl watch` of a live job re-exports the streamed epoch frames
-#      byte-identical (cmp AND wgreport --tol 0) to the offline
+#      byte-identical (cmp AND wgreport --tol 0 --abs-tol 0) to the offline
 #      `wgsim --metrics` export of the same cell;
 #   5. the daemon's structured event log records the job life cycle;
 #   6. drain finishes in-flight work, then the daemon exits 0.
@@ -79,11 +79,11 @@ cmp "$WORK/served.txt" "$WORK/offline.txt" \
         diff "$WORK/offline.txt" "$WORK/served.txt" | head -20))"
 
 echo "serve_e2e: gate 2 — served registry vs committed baseline, tol 0"
-"$BUILD/tools/wgreport" --tol 0 "$BASELINE" "$WORK/served.jsonl" \
+"$BUILD/tools/wgreport" --tol 0 --abs-tol 0 "$BASELINE" "$WORK/served.jsonl" \
     || fail "served metrics drifted from $BASELINE"
 
 echo "serve_e2e: gate 3 — served registry vs fresh offline export, tol 0"
-"$BUILD/tools/wgreport" --tol 0 "$WORK/offline.jsonl" \
+"$BUILD/tools/wgreport" --tol 0 --abs-tol 0 "$WORK/offline.jsonl" \
     "$WORK/served.jsonl" \
     || fail "served metrics differ from offline --metrics export"
 
@@ -108,7 +108,7 @@ cmp "$WORK/watch_live.jsonl" "$WORK/watch_offline.jsonl" \
     || fail "streamed epoch series is not byte-identical to offline (diff: $(
         diff "$WORK/watch_offline.jsonl" "$WORK/watch_live.jsonl" \
         | head -10))"
-timeout "$STEP_TIMEOUT" "$BUILD/tools/wgreport" --tol 0 \
+timeout "$STEP_TIMEOUT" "$BUILD/tools/wgreport" --tol 0 --abs-tol 0 \
     "$WORK/watch_offline.jsonl" "$WORK/watch_live.jsonl" \
     || fail "streamed final registry drifted from offline at tol 0"
 

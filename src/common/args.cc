@@ -110,13 +110,21 @@ ArgParser::parse(int argc, const char* const* argv)
             if (flag.kind != Kind::String) {
                 // Validate numeric values eagerly.
                 char* end = nullptr;
-                if (flag.kind == Kind::Int)
-                    std::strtoll(value.c_str(), &end, 10);
-                else
+                long long integer = 0;
+                if (flag.kind == Kind::Double)
                     std::strtod(value.c_str(), &end);
+                else
+                    integer = std::strtoll(value.c_str(), &end, 10);
                 if (end == value.c_str() || *end != '\0') {
                     std::fprintf(stderr,
                                  "flag --%s: bad numeric value '%s'\n",
+                                 name.c_str(), value.c_str());
+                    return false;
+                }
+                if (flag.kind == Kind::Count && integer < 0) {
+                    std::fprintf(stderr,
+                                 "flag --%s: must not be negative, got "
+                                 "'%s'\n",
                                  name.c_str(), value.c_str());
                     return false;
                 }
@@ -149,6 +157,13 @@ std::int64_t
 ArgParser::getInt(const std::string& name) const
 {
     return std::strtoll(find(name, Kind::Int).value.c_str(), nullptr, 10);
+}
+
+std::uint64_t
+ArgParser::getCount(const std::string& name) const
+{
+    return std::strtoull(find(name, Kind::Count).value.c_str(), nullptr,
+                         10);
 }
 
 double

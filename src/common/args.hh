@@ -16,8 +16,12 @@
 
 namespace wg {
 
-/** Value type of one command-line flag. */
-enum class FlagKind : std::uint8_t { String, Int, Double, Bool };
+/**
+ * Value type of one command-line flag. Count is an Int that parse()
+ * rejects when negative: sizes, counts, ports and cycle budgets, which
+ * the tools hold in unsigned types a negative value would wrap.
+ */
+enum class FlagKind : std::uint8_t { String, Int, Count, Double, Bool };
 
 /**
  * One row of a declarative flag table. Tools declare their whole
@@ -74,6 +78,7 @@ class ArgParser
 
     std::string getString(const std::string& name) const;
     std::int64_t getInt(const std::string& name) const;
+    std::uint64_t getCount(const std::string& name) const;
     double getDouble(const std::string& name) const;
     bool getBool(const std::string& name) const;
 

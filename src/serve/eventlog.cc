@@ -12,7 +12,6 @@ std::uint64_t
 steadyMs()
 {
     // Daemon self-observability only; never feeds simulation results.
-    // wglint:allow(D1)
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now().time_since_epoch())

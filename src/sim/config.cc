@@ -68,6 +68,8 @@ GpuConfig::validate() const
     if (numSms == 0)
         errs.push_back("numSms must be >= 1 (a GPU with no SMs "
                        "simulates nothing)");
+    if (numSms > kMaxSms)
+        errs.push_back("numSms must be <= " + std::to_string(kMaxSms));
     for (std::string& e : sm.validate())
         errs.push_back(std::move(e));
     return errs;

@@ -75,6 +75,9 @@ struct SmConfig
 /** Whole-GPU configuration. */
 struct GpuConfig
 {
+    /** Upper bound validate() puts on numSms; no caller uses over 64. */
+    static constexpr unsigned kMaxSms = 1024;
+
     SmConfig sm;
     unsigned numSms = 15;       ///< GTX480 has 15 SMs
     std::uint64_t seed = 1;     ///< experiment seed

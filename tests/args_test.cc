@@ -73,6 +73,22 @@ TEST(Args, NegativeNumbers)
     EXPECT_DOUBLE_EQ(args.getDouble("ratio"), -1.5);
 }
 
+TEST(Args, CountRejectsNegativeValues)
+{
+    // A Count flag lands in an unsigned type, where -1 would wrap to
+    // a huge size or cycle budget.
+    static constexpr FlagSpec kFlags[] = {
+        {"sms", FlagKind::Count, "6", "a count"}};
+    ArgParser args("prog", "", kFlags);
+    ASSERT_TRUE(parse(args, {"--sms", "0"}));
+    EXPECT_EQ(args.getCount("sms"), 0u);
+    ArgParser negative("prog", "", kFlags);
+    EXPECT_FALSE(parse(negative, {"--sms", "-1"}));
+    EXPECT_FALSE(negative.helpRequested());
+    ArgParser equals("prog", "", kFlags);
+    EXPECT_FALSE(parse(equals, {"--sms=-5"}));
+}
+
 TEST(Args, PositionalArguments)
 {
     ArgParser args = makeParser();

@@ -297,18 +297,6 @@ TEST(Registry, MatchesSimResultAccessors)
               static_cast<double>(r.config.sm.pg.epochLength));
 }
 
-TEST(Registry, NamesNeverContainUnderscores)
-{
-    // The Prometheus exposition maps '.' -> '_'; underscores in
-    // registry names would make that mapping lossy.
-    Gpu gpu(config(2));
-    StatSet set = metrics::toStatSet(gpu.run(profile(), nullptr));
-    for (const auto& [name, value] : set.entries()) {
-        (void)value;
-        EXPECT_EQ(name.find('_'), std::string::npos) << name;
-    }
-}
-
 // ---- exporters ----
 
 TEST(Exporters, FormatMetricValueIsLosslessAndCompact)

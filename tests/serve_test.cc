@@ -359,6 +359,23 @@ TEST(ServeClient, NonNumericStatIsAnErrorWithItsPath)
     daemon.join();
 }
 
+TEST(ServeAdmission, OversizedSmCountIsRejected)
+{
+    // Admission only: the spec is refused before any cell is queued,
+    // so nothing of that size is ever simulated.
+    ExperimentRunner runner(tinyOptions(), nullptr);
+    serve::JobManager jobs(runner);
+    ExperimentOptions huge = tinyOptions();
+    huge.numSms = GpuConfig::kMaxSms + 1;
+    const auto outcome = jobs.submit(
+        SweepSpec({"hotspot"}, {Technique::Baseline}, huge), 0);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_NE(outcome.error.find("numSms must be <= 1024"),
+              std::string::npos)
+        << outcome.error;
+    EXPECT_EQ(runner.cacheStats().entries, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Resume seeding (manager-level, no sockets)
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // wgsim records a trace, wgtrace replays it. Covers the exit codes
 // (0 clean, 1 unchecked SMs, 2 parse errors) and the diagnostics that
 // unit tests of the reader cannot see. Also checks that wgsim's --json
-// file holds every result of a multi-benchmark run.
+// file holds every result of a multi-benchmark run, and that wgsim
+// rejects out-of-range sizes before it simulates anything.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -255,6 +256,21 @@ TEST(WgsimCli, JsonHoldsEveryResultInRunOrder)
         ASSERT_NE(at, std::string::npos)
             << label << " missing or out of order";
     }
+}
+
+TEST(WgsimCli, NegativeOrOversizedCountsAreUsageErrors)
+{
+    // Each value lands in an unsigned type, where a negative one would
+    // wrap: -1 SMs asks for ~4e9 SMs, a -5 cycle BET for ~1.8e19.
+    const std::string wgsim = std::string(WGSIM_BINARY) +
+                              " --bench hotspot --quiet ";
+    for (const char* flags : {"--sms -1", "--bet -5", "--sms 1025"}) {
+        const ToolRun r = run(wgsim + flags);
+        EXPECT_EQ(r.exitCode, 2) << flags << "\n" << r.output;
+    }
+    // A negative seed or --trace-sm is still a legal value.
+    const ToolRun ok = run(wgsim + "--sms 1 --seed -1 --trace-sm -1");
+    EXPECT_EQ(ok.exitCode, 0) << ok.output;
 }
 
 } // namespace

@@ -49,7 +49,7 @@ namespace {
 using namespace wg;
 
 constexpr FlagSpec kFlags[] = {
-    {"port", FlagKind::Int, "7421", "daemon port on loopback"},
+    {"port", FlagKind::Count, "7421", "daemon port on loopback"},
     {"bench", FlagKind::String, "hotspot",
      "comma-separated benchmarks, or 'all' for the full suite"},
     {"technique", FlagKind::String, "WarpedGates",
@@ -57,15 +57,15 @@ constexpr FlagSpec kFlags[] = {
      "NaiveBlackout|CoordBlackout|WarpedGates"},
     {"id", FlagKind::String, "",
      "job id (status/watch/result/cancel)"},
-    {"priority", FlagKind::Int, "0", "submit priority (higher first)"},
-    {"sms", FlagKind::Int, "6", "number of SMs to simulate"},
+    {"priority", FlagKind::Count, "0", "submit priority (higher first)"},
+    {"sms", FlagKind::Count, "6", "number of SMs to simulate"},
     {"seed", FlagKind::Int, "1", "experiment seed"},
-    {"idle-detect", FlagKind::Int, "5", "idle-detect window (cycles)"},
-    {"bet", FlagKind::Int, "14", "break-even time (cycles)"},
-    {"wakeup", FlagKind::Int, "3", "wakeup delay (cycles)"},
+    {"idle-detect", FlagKind::Count, "5", "idle-detect window (cycles)"},
+    {"bet", FlagKind::Count, "14", "break-even time (cycles)"},
+    {"wakeup", FlagKind::Count, "3", "wakeup delay (cycles)"},
     {"wait", FlagKind::Bool, "",
      "submit: wait for completion and print the results"},
-    {"timeout-sec", FlagKind::Int, "600",
+    {"timeout-sec", FlagKind::Count, "600",
      "deadline for --wait / drain / slow responses"},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
     {"csv", FlagKind::String, "", "write CSV rows to this file"},
@@ -136,11 +136,11 @@ buildSpec(const ArgParser& args, SweepSpec& spec)
     // Options ride along explicitly so the daemon's own defaults can
     // never change what this command line means.
     ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getInt("sms"));
+    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
     opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = static_cast<Cycle>(args.getInt("idle-detect"));
-    opts.breakEven = static_cast<Cycle>(args.getInt("bet"));
-    opts.wakeupDelay = static_cast<Cycle>(args.getInt("wakeup"));
+    opts.idleDetect = args.getCount("idle-detect");
+    opts.breakEven = args.getCount("bet");
+    opts.wakeupDelay = args.getCount("wakeup");
 
     spec = SweepSpec(std::move(benches), std::move(techniques), opts);
     return true;
@@ -313,15 +313,15 @@ main(int argc, char** argv)
     }
     const std::string command = args.positional()[0];
     const int timeout_ms =
-        static_cast<int>(args.getInt("timeout-sec")) * 1000;
+        static_cast<int>(args.getCount("timeout-sec")) * 1000;
 
     serve::Client client;
     std::string error;
     if (!client.connect(
-            static_cast<std::uint16_t>(args.getInt("port")), 2000,
+            static_cast<std::uint16_t>(args.getCount("port")), 2000,
             error))
         return fail("cannot reach wgservd on port " +
-                    std::to_string(args.getInt("port")) + ": " + error);
+                    std::to_string(args.getCount("port")) + ": " + error);
     client.setRequestTimeout(timeout_ms);
 
     if (command == "submit") {
@@ -336,7 +336,7 @@ main(int argc, char** argv)
             if (!Json::parse(text, doc, error))
                 return fail(args.getString("resume") + ": " + error);
             if (!client.submitSnapshot(
-                    doc, static_cast<unsigned>(args.getInt("priority")),
+                    doc, static_cast<unsigned>(args.getCount("priority")),
                     id, deduped, seeded, error))
                 return fail(args.getString("resume") + ": " + error);
             if (!args.getBool("quiet"))
@@ -347,7 +347,7 @@ main(int argc, char** argv)
             if (!buildSpec(args, spec))
                 return 2;
             if (!client.submit(
-                    spec, static_cast<unsigned>(args.getInt("priority")),
+                    spec, static_cast<unsigned>(args.getCount("priority")),
                     id, deduped, error))
                 return fail(error);
         }

@@ -25,7 +25,7 @@ isWgAttribute(const Token& tok)
  */
 void
 indexClassBody(const FileScan& scan, const std::string& className,
-               std::size_t open, std::size_t end, FileIndex& index)
+               std::size_t open, std::size_t end, Index& index)
 {
     const std::vector<Token>& t = scan.tokens;
     ClassInfo& cls = index.classes[className];
@@ -163,7 +163,7 @@ indexClassBody(const FileScan& scan, const std::string& className,
 
 void
 indexScopes(const FileScan& scan, std::size_t begin, std::size_t end,
-            FileIndex& index)
+            Index& index)
 {
     const std::vector<Token>& t = scan.tokens;
     std::size_t i = begin;
@@ -284,25 +284,12 @@ indexScopes(const FileScan& scan, std::size_t begin, std::size_t end,
 // ---------------------------------------------------------------------
 
 void
-indexFile(const FileScan& scan, FileIndex& out)
+indexFile(const FileScan& scan, std::size_t scanIdx, Index& index)
 {
-    indexScopes(scan, 0, scan.tokens.size(), out);
-}
-
-void
-Index::merge(FileIndex&& fi, std::size_t scanIdx)
-{
-    for (auto& [name, ci] : fi.classes) {
-        ClassInfo& dst = classes[name];
-        dst.guardedFields.insert(ci.guardedFields.begin(),
-                                 ci.guardedFields.end());
-        dst.requiresFns.insert(ci.requiresFns.begin(),
-                               ci.requiresFns.end());
-    }
-    for (FunctionDef& d : fi.defs) {
-        d.scanIdx = scanIdx;
-        defs.push_back(std::move(d));
-    }
+    const std::size_t first = index.defs.size();
+    indexScopes(scan, 0, scan.tokens.size(), index);
+    for (std::size_t d = first; d < index.defs.size(); ++d)
+        index.defs[d].scanIdx = scanIdx;
 }
 
 } // namespace wglint

@@ -1,15 +1,11 @@
 /**
  * @file
- * wglint cross-TU index. One FileIndex is built per file (safe to do
- * in parallel, it only reads that file's tokens); the driver then
- * merges them into a single Index in sorted-path order, so the merged
- * view is deterministic and identical between serial and parallel
- * scans. The index powers every cross-file rule:
+ * wglint cross-TU index for C2. The driver appends each file's facts
+ * in sorted-path order, so the index is the same on every run:
  *
- *   - D1 (interprocedural): every function definition with its body
- *     token range, so the rules layer can build a call graph and
- *     propagate nondeterminism taint across translation units.
- *   - C2: per-class lock discipline — WG_GUARDED_BY fields and
+ *   - every function definition with its body token range, where C2
+ *     looks for lock guards and field writes;
+ *   - per-class lock discipline — WG_GUARDED_BY fields and
  *     WG_REQUIRES-annotated method names (declarations count, so a
  *     header contract covers the out-of-line definition in another
  *     file).
@@ -27,16 +23,10 @@
 
 namespace wglint {
 
-// ---------------------------------------------------------------------
-// Concurrency + call-graph facts
-// ---------------------------------------------------------------------
-
 /**
  * One function definition (free, out-of-line member, or inline member)
- * with its body token range. Semantic passes (taint sources, call
- * edges, guarded writes) re-read the range from the owning FileScan —
- * the index stores only structure, which keeps per-file indexing
- * independent of every other file.
+ * with its body token range. C2 re-reads the range from the owning
+ * FileScan for guards and writes; the index stores only structure.
  */
 struct FunctionDef
 {
@@ -57,28 +47,17 @@ struct ClassInfo
     std::set<std::string> requiresFns;   ///< WG_REQUIRES(...) methods
 };
 
-/** Everything indexed from ONE file; built independently per file. */
-struct FileIndex
-{
-    std::map<std::string, ClassInfo> classes;
-    std::vector<FunctionDef> defs; ///< scanIdx unset until merge
-};
-
-/** The merged, whole-tree view. */
+/** The whole-tree view, filled one file at a time. */
 struct Index
 {
     std::map<std::string, ClassInfo> classes;
     std::vector<FunctionDef> defs;
-
-    /**
-     * Fold one file's facts in. MUST be called in sorted-path order:
-     * the defs vector order seeds every deterministic tie-break
-     * downstream.
-     */
-    void merge(FileIndex&& fi, std::size_t scanIdx);
 };
 
-/** Build the per-file index from a tokenized scan. */
-void indexFile(const FileScan& scan, FileIndex& out);
+/**
+ * Append one tokenized file's facts to @p index. @p scanIdx is the
+ * file's slot in the driver's FileScan vector.
+ */
+void indexFile(const FileScan& scan, std::size_t scanIdx, Index& index);
 
 } // namespace wglint

@@ -8,10 +8,7 @@
  *
  *   D1  no nondeterminism sources (wall clocks, rand, sleeps) outside
  *       the profiling allowlist — "bit-identical" output must not
- *       depend on the host. The check is interprocedural: a call that
- *       transitively reaches an unsuppressed source through any chain
- *       of helpers (across translation units) is flagged at the call
- *       site, with the chain spelled out.
+ *       depend on the host. Each use is flagged where it appears.
  *   D2  no iteration over unordered containers in result-affecting
  *       code (stats, metrics, report, trace sinks, exporters, tools) —
  *       hash order leaks straight into files CI diffs byte-for-byte.
@@ -34,13 +31,10 @@
  * `sleep_for`, `sleep_until`): wire deadlines never feed simulation
  * state. Wall clocks and entropy stay banned there too.
  *
- * Parallelism: files are tokenized, per-file-checked and per-file-
- * indexed concurrently on the shared wg::ThreadPool (`--jobs=N`;
- * `--jobs=1` forces the serial reference path, the default uses the
- * hardware-sized global pool). The per-file results are merged in
- * sorted-path order and the cross-TU rules run serially afterwards,
- * so the report is byte-identical at every job count — the
- * determinism contract this tree demands of its own tools.
+ * One serial pass: in sorted-path order each file is tokenized, run
+ * through the per-file rules and appended to the cross-TU index; C2
+ * runs on the index at the end. The report is sorted, so it is
+ * byte-identical on every run.
  *
  * Output: --format=text (default, `file:line: [RULE] message`) or
  * --format=jsonl (one JSON object per violation, CI artifact
@@ -52,14 +46,10 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
-#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
-
-#include "common/threadpool.hh"
 
 #include "index.hh"
 #include "report.hh"
@@ -109,32 +99,11 @@ collectFiles(const std::vector<std::string>& roots, bool& ok)
     return files;
 }
 
-/** Everything derived from one file, independent of every other. */
-struct ScanResult
-{
-    wglint::FileScan scan;
-    wglint::FileIndex index;
-    std::vector<wglint::Violation> violations;
-    bool ok = false;
-};
-
-ScanResult
-scanOne(const fs::path& file)
-{
-    ScanResult r;
-    r.ok = wglint::tokenize(file, file.generic_string(), r.scan);
-    if (!r.ok)
-        return r;
-    wglint::checkFile(r.scan, r.violations);
-    wglint::indexFile(r.scan, r.index);
-    return r;
-}
-
 int
 usage()
 {
-    std::cerr << "usage: wglint [--format=text|jsonl] [--jobs=N] "
-                 "[--list-rules] path...\n";
+    std::cerr << "usage: wglint [--format=text|jsonl] [--list-rules] "
+                 "path...\n";
     return 2;
 }
 
@@ -145,8 +114,6 @@ main(int argc, char** argv)
 {
     std::string format = "text";
     std::vector<std::string> roots;
-    unsigned jobs = 0; // 0 = hardware-sized shared pool
-    bool jobsGiven = false;
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
         if (arg == "--list-rules") {
@@ -157,17 +124,6 @@ main(int argc, char** argv)
             format = arg.substr(9);
             if (format != "text" && format != "jsonl")
                 return usage();
-            continue;
-        }
-        if (arg.rfind("--jobs=", 0) == 0) {
-            const std::string value = arg.substr(7);
-            if (value.empty())
-                return usage();
-            for (char c : value)
-                if (!std::isdigit(static_cast<unsigned char>(c)))
-                    return usage();
-            jobs = static_cast<unsigned>(std::stoul(value));
-            jobsGiven = true;
             continue;
         }
         if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0)
@@ -182,48 +138,17 @@ main(int argc, char** argv)
     if (!ok)
         return 2;
 
-    // Per-file phase: tokenize + local rules + local index, one task
-    // per file into a pre-sized slot (no cross-task state). --jobs=1
-    // is the serial reference the parallel path must match byte for
-    // byte; an explicit --jobs=N gets a dedicated pool of that size,
-    // the default shares the hardware-sized global pool.
-    std::vector<ScanResult> results(files.size());
-    if (jobsGiven && jobs == 1) {
-        for (std::size_t i = 0; i < files.size(); ++i)
-            results[i] = scanOne(files[i]);
-    } else {
-        wg::ThreadPool local(jobsGiven ? jobs : 0);
-        wg::ThreadPool& pool =
-            jobsGiven ? local : wg::ThreadPool::global();
-        std::vector<std::future<void>> futs;
-        futs.reserve(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            futs.push_back(pool.submit([&results, &files, i] {
-                results[i] = scanOne(files[i]);
-            }));
-        for (auto& f : futs)
-            pool.wait(f);
-    }
-
-    // Serial phase, in sorted-path order: IO errors first (matching
-    // the serial scanner's first-failure exit), then the deterministic
-    // merge that cross-TU rules run on.
+    std::vector<wglint::Violation> violations;
+    std::vector<wglint::FileScan> scans(files.size());
+    wglint::Index index;
     for (std::size_t i = 0; i < files.size(); ++i) {
-        if (!results[i].ok) {
+        if (!wglint::tokenize(files[i], files[i].generic_string(),
+                              scans[i])) {
             std::cerr << "wglint: cannot read " << files[i] << "\n";
             return 2;
         }
-    }
-    std::vector<wglint::Violation> violations;
-    std::vector<wglint::FileScan> scans;
-    scans.reserve(results.size());
-    wglint::Index index;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        violations.insert(violations.end(),
-                          results[i].violations.begin(),
-                          results[i].violations.end());
-        index.merge(std::move(results[i].index), i);
-        scans.push_back(std::move(results[i].scan));
+        wglint::checkFile(scans[i], violations);
+        wglint::indexFile(scans[i], i, index);
     }
     wglint::checkTree(scans, index, violations);
 

@@ -76,8 +76,7 @@ printRules(std::ostream& out)
     out << "D1  no nondeterminism sources (clocks, rand, sleeps) "
            "outside phase_timer.hh / suppressed profiling sites; "
            "serve/ may use monotonic socket timeouts "
-           "(steady_clock, sleep_for, sleep_until) only; calls that "
-           "transitively reach a source are flagged too\n"
+           "(steady_clock, sleep_for, sleep_until) only\n"
         << "D2  no unordered_map/unordered_set iteration in "
            "result-affecting code (stats, metrics, report, trace, "
            "export, sinks, tools)\n"

@@ -3,8 +3,8 @@
  * wglint reporting: the Violation record, the deterministic sort
  * order every output format relies on, per-rule fix hints, and the
  * text / jsonl emitters. Output is byte-stable: violations are sorted
- * by (file, line, rule, message) regardless of scan order, which is
- * what lets the parallel scanner promise byte-identical reports.
+ * by (file, line, rule, message) regardless of the order the rules
+ * found them in.
  */
 
 #pragma once

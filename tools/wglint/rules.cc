@@ -69,44 +69,32 @@ phaseTimerFile(const FileScan& scan)
     return fs::path(scan.path).filename() == "phase_timer.hh";
 }
 
-struct D1Hit
+void
+checkD1(const FileScan& scan, std::vector<Violation>& out)
 {
-    std::string name;
-    int line = 0;
-};
-
-/**
- * Raw banned-use sites in a token range, shape-filtered (member calls
- * and declarations excluded) but NOT yet filtered for suppression or
- * path exemptions — callers apply those, because the interprocedural
- * pass needs to see sanctioned sites as non-sources rather than not
- * see them at all.
- */
-std::vector<D1Hit>
-d1Hits(const FileScan& scan, std::size_t begin, std::size_t end)
-{
-    std::vector<D1Hit> hits;
+    if (phaseTimerFile(scan))
+        return;
+    // A preceding keyword (`return time(...)`) still makes a free call,
+    // not a declaration.
+    static const std::set<std::string> kCallKeywords = {
+        "return", "co_return", "co_yield", "co_await",
+        "throw",  "case",      "else",     "do",
+    };
     const std::vector<Token>& t = scan.tokens;
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
         if (t[i].kind != TokKind::Ident)
             continue;
         const std::string& name = t[i].text;
         bool hit = false;
         if (bannedIdents().count(name)) {
             hit = true;
-        } else if (i + 1 < end && t[i + 1].kind == TokKind::Punct &&
+        } else if (i + 1 < t.size() && t[i + 1].kind == TokKind::Punct &&
                    t[i + 1].text == "(") {
             if (bannedAnyCalls().count(name)) {
                 hit = true;
             } else if (bannedFreeCalls().count(name)) {
                 // Skip member calls (`x.time(...)`) and declarations
-                // (`Scope time(...)`): flag only free-call shapes. A
-                // preceding keyword (`return time(...)`) is still a
-                // free call, not a declaration.
-                static const std::set<std::string> kCallKeywords = {
-                    "return", "co_return", "co_yield", "co_await",
-                    "throw",  "case",      "else",     "do",
-                };
+                // (`Scope time(...)`): flag only free-call shapes.
                 bool memberOrDecl = false;
                 if (i > 0) {
                     const Token& p = t[i - 1];
@@ -121,25 +109,11 @@ d1Hits(const FileScan& scan, std::size_t begin, std::size_t end)
                 hit = !memberOrDecl;
             }
         }
-        if (hit)
-            hits.push_back({name, t[i].line});
-    }
-    return hits;
-}
-
-void
-checkD1(const FileScan& scan, std::vector<Violation>& out)
-{
-    if (phaseTimerFile(scan))
-        return;
-    for (const D1Hit& h :
-         d1Hits(scan, 0, scan.tokens.size())) {
-        if (serveTimeoutExempt(scan.path, h.name))
+        if (!hit || serveTimeoutExempt(scan.path, name) ||
+            suppressed(scan, "D1", t[i].line))
             continue;
-        if (suppressed(scan, "D1", h.line))
-            continue;
-        out.push_back({"D1", scan.path, h.line,
-                       "nondeterminism source '" + h.name +
+        out.push_back({"D1", scan.path, t[i].line,
+                       "nondeterminism source '" + name +
                            "' outside the profiling allowlist",
                        ruleHint("D1")});
     }
@@ -392,15 +366,8 @@ checkH1(const FileScan& scan, std::vector<Violation>& out)
 }
 
 // ---------------------------------------------------------------------
-// Body semantics: calls, guarded-ness, writes, taint sources
+// Body semantics for C2: lock guards and field writes
 // ---------------------------------------------------------------------
-
-struct CallSite
-{
-    std::string callee;
-    int line = 0;
-    bool allowD1 = false; ///< wglint:allow(D1) at the call site
-};
 
 struct WriteSite
 {
@@ -409,19 +376,10 @@ struct WriteSite
     bool allowC2 = false;
 };
 
-struct TaintSite
-{
-    std::string ident;
-    int line = 0;
-    bool sanctioned = false; ///< suppressed or path-exempt
-};
-
 struct BodySemantics
 {
     bool hasGuard = false; ///< body declares a RAII lock guard
-    std::vector<CallSite> calls;
     std::vector<WriteSite> writes;
-    std::vector<TaintSite> taints;
 };
 
 const std::set<std::string>&
@@ -440,12 +398,9 @@ fieldLikeName(const std::string& s)
 }
 
 /**
- * One pass over a function body: RAII guards, call edges (free-call
- * shapes only — member calls through a receiver are not edges, the
- * receiver owns its own discipline), direct nondeterminism sources,
- * and direct writes to '_'-suffixed names (assignment, compound
- * assignment, ++/--; mutating METHOD calls are deliberately out of
- * scope — see DESIGN.md §18).
+ * One pass over a function body: RAII guards and direct writes to
+ * '_'-suffixed names (assignment, compound assignment, ++/--; mutating
+ * METHOD calls are deliberately out of scope — see DESIGN.md §18).
  */
 BodySemantics
 analyzeBody(const FileScan& scan, const FunctionDef& def)
@@ -456,20 +411,6 @@ analyzeBody(const FileScan& scan, const FunctionDef& def)
     const std::size_t e =
         def.bodyEnd < t.size() ? def.bodyEnd : t.size();
 
-    for (const D1Hit& h : d1Hits(scan, b, e)) {
-        TaintSite site;
-        site.ident = h.name;
-        site.line = h.line;
-        site.sanctioned = phaseTimerFile(scan) ||
-                          serveTimeoutExempt(scan.path, h.name) ||
-                          suppressed(scan, "D1", h.line);
-        sem.taints.push_back(site);
-    }
-
-    static const std::set<std::string> kCallKeywords = {
-        "return", "co_return", "co_yield", "co_await",
-        "throw",  "case",      "else",     "do",
-    };
     static const std::set<std::string> kCompoundOps = {
         "+", "-", "*", "/", "%", "&", "|", "^"};
 
@@ -480,32 +421,9 @@ analyzeBody(const FileScan& scan, const FunctionDef& def)
         if (raiiGuardTypes().count(name))
             sem.hasGuard = true;
 
-        const Token* prev = i > b ? &t[i - 1] : nullptr;
-        bool memberAccess =
-            prev != nullptr && prev->kind == TokKind::Punct &&
-            (prev->text == "." || prev->text == "->");
-
-        // Call edge: free-call shape (same filter as D1's free-call
-        // matcher: a preceding non-keyword ident means a declaration,
-        // a preceding '.'/'->' a member call).
-        if (i + 1 < e && t[i + 1].kind == TokKind::Punct &&
-            t[i + 1].text == "(") {
-            bool memberOrDecl =
-                prev != nullptr &&
-                ((prev->kind == TokKind::Ident &&
-                  !kCallKeywords.count(prev->text)) ||
-                 (prev->kind == TokKind::Punct &&
-                  (prev->text == "." || prev->text == "->" ||
-                   prev->text == "&" || prev->text == "*" ||
-                   prev->text == ">")));
-            if (!memberOrDecl) {
-                CallSite call;
-                call.callee = name;
-                call.line = t[i].line;
-                call.allowD1 = suppressed(scan, "D1", t[i].line);
-                sem.calls.push_back(call);
-            }
-        }
+        const bool memberAccess =
+            i > b && t[i - 1].kind == TokKind::Punct &&
+            (t[i - 1].text == "." || t[i - 1].text == "->");
 
         // Direct writes to '_'-suffixed (field-convention) names.
         if (!fieldLikeName(name) || memberAccess)
@@ -539,100 +457,6 @@ analyzeBody(const FileScan& scan, const FunctionDef& def)
         }
     }
     return sem;
-}
-
-// ---------------------------------------------------------------------
-// Interprocedural D1: cross-TU nondeterminism taint
-// ---------------------------------------------------------------------
-
-void
-checkD1Interprocedural(const std::vector<FileScan>& scans,
-                       const Index& index,
-                       const std::vector<BodySemantics>& sems,
-                       std::vector<Violation>& out)
-{
-    // Seed: a function name is tainted by every banned ident its
-    // definitions use directly WITHOUT a suppression/exemption. The
-    // map value is the next hop toward the source ("" = direct use),
-    // which reconstructs the chain for the message.
-    std::map<std::string, std::map<std::string, std::string>> taint;
-    for (std::size_t d = 0; d < index.defs.size(); ++d)
-        for (const TaintSite& site : sems[d].taints)
-            if (!site.sanctioned)
-                taint[index.defs[d].name].emplace(site.ident, "");
-
-    // Propagate to a fixed point over the call graph. Deterministic:
-    // defs are in sorted-path merge order and taint maps are ordered,
-    // so the first next-hop recorded for a (function, source) pair is
-    // the same on every run regardless of scan parallelism.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t d = 0; d < index.defs.size(); ++d) {
-            const FunctionDef& def = index.defs[d];
-            const FileScan& scan = scans[def.scanIdx];
-            if (phaseTimerFile(scan))
-                continue;
-            for (const CallSite& call : sems[d].calls) {
-                if (call.allowD1)
-                    continue;
-                auto tit = taint.find(call.callee);
-                if (tit == taint.end())
-                    continue;
-                for (const auto& [banned, via] : tit->second) {
-                    (void)via;
-                    if (serveTimeoutExempt(scan.path, banned))
-                        continue;
-                    auto& mine = taint[def.name];
-                    if (mine.emplace(banned, call.callee).second)
-                        changed = true;
-                }
-            }
-        }
-    }
-
-    // Report every unsuppressed call site that reaches a source.
-    for (std::size_t d = 0; d < index.defs.size(); ++d) {
-        const FunctionDef& def = index.defs[d];
-        const FileScan& scan = scans[def.scanIdx];
-        if (phaseTimerFile(scan))
-            continue;
-        for (const CallSite& call : sems[d].calls) {
-            if (call.allowD1)
-                continue;
-            auto tit = taint.find(call.callee);
-            if (tit == taint.end())
-                continue;
-            for (const auto& [banned, via] : tit->second) {
-                (void)via;
-                if (serveTimeoutExempt(scan.path, banned))
-                    continue;
-                // Reconstruct callee -> ... -> source.
-                std::string chain = call.callee;
-                std::set<std::string> visited = {call.callee};
-                std::string cur = call.callee;
-                for (;;) {
-                    auto cit = taint.find(cur);
-                    if (cit == taint.end())
-                        break;
-                    auto nit = cit->second.find(banned);
-                    if (nit == cit->second.end() ||
-                        nit->second.empty())
-                        break;
-                    if (!visited.insert(nit->second).second)
-                        break; // recursion cycle
-                    chain += " -> " + nit->second;
-                    cur = nit->second;
-                }
-                out.push_back(
-                    {"D1", scan.path, call.line,
-                     "call to '" + call.callee +
-                         "' reaches nondeterminism source '" + banned +
-                         "' (" + chain + " -> " + banned + ")",
-                     ruleHint("D1")});
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -728,7 +552,6 @@ checkTree(const std::vector<FileScan>& scans, const Index& index,
     for (const FunctionDef& def : index.defs)
         sems.push_back(analyzeBody(scans[def.scanIdx], def));
 
-    checkD1Interprocedural(scans, index, sems, out);
     checkC2(scans, index, sems, out);
 }
 

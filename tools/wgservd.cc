@@ -32,22 +32,22 @@ namespace {
 using namespace wg;
 
 constexpr FlagSpec kFlags[] = {
-    {"port", FlagKind::Int, "7421",
+    {"port", FlagKind::Count, "7421",
      "loopback TCP port (0 = pick a free one; printed on stdout)"},
-    {"queue-capacity", FlagKind::Int, "256",
+    {"queue-capacity", FlagKind::Count, "256",
      "max queued jobs before submissions are rejected"},
-    {"max-concurrent", FlagKind::Int, "2",
+    {"max-concurrent", FlagKind::Count, "2",
      "jobs dispatched concurrently (each fans per-SM work into the "
      "pool)"},
-    {"priorities", FlagKind::Int, "4",
+    {"priorities", FlagKind::Count, "4",
      "number of priority levels (valid priorities: 0..n-1)"},
-    {"sms", FlagKind::Int, "6",
+    {"sms", FlagKind::Count, "6",
      "default SMs per simulation (jobs may override)"},
     {"seed", FlagKind::Int, "1", "default experiment seed"},
-    {"idle-detect", FlagKind::Int, "5",
+    {"idle-detect", FlagKind::Count, "5",
      "default idle-detect window (cycles)"},
-    {"bet", FlagKind::Int, "14", "default break-even time (cycles)"},
-    {"wakeup", FlagKind::Int, "3", "default wakeup delay (cycles)"},
+    {"bet", FlagKind::Count, "14", "default break-even time (cycles)"},
+    {"wakeup", FlagKind::Count, "3", "default wakeup delay (cycles)"},
     {"serial", FlagKind::Bool, "",
      "run simulations serially instead of on the shared thread pool "
      "(results are identical)"},
@@ -87,24 +87,24 @@ main(int argc, char** argv)
         return args.helpRequested() ? 0 : 2;
 
     ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getInt("sms"));
+    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
     opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = static_cast<Cycle>(args.getInt("idle-detect"));
-    opts.breakEven = static_cast<Cycle>(args.getInt("bet"));
-    opts.wakeupDelay = static_cast<Cycle>(args.getInt("wakeup"));
+    opts.idleDetect = args.getCount("idle-detect");
+    opts.breakEven = args.getCount("bet");
+    opts.wakeupDelay = args.getCount("wakeup");
 
     ThreadPool* pool =
         args.getBool("serial") ? nullptr : &ThreadPool::global();
     ExperimentRunner runner(opts, pool);
 
     serve::ServerConfig config;
-    config.port = static_cast<std::uint16_t>(args.getInt("port"));
+    config.port = static_cast<std::uint16_t>(args.getCount("port"));
     config.jobs.queueCapacity =
-        static_cast<std::size_t>(args.getInt("queue-capacity"));
+        static_cast<std::size_t>(args.getCount("queue-capacity"));
     config.jobs.maxConcurrentJobs =
-        static_cast<unsigned>(args.getInt("max-concurrent"));
+        static_cast<unsigned>(args.getCount("max-concurrent"));
     config.jobs.numPriorities =
-        static_cast<unsigned>(args.getInt("priorities"));
+        static_cast<unsigned>(args.getCount("priorities"));
 
     serve::EventLog events;
     if (args.given("log-file")) {

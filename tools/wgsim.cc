@@ -47,10 +47,10 @@ constexpr FlagSpec kFlags[] = {
     {"adaptive", FlagKind::Bool, "",
      "override: enable adaptive idle detect"},
     {"gate-sfu", FlagKind::Bool, "", "extension: gate the SFU block too"},
-    {"idle-detect", FlagKind::Int, "5", "idle-detect window (cycles)"},
-    {"bet", FlagKind::Int, "14", "break-even time (cycles)"},
-    {"wakeup", FlagKind::Int, "3", "wakeup delay (cycles)"},
-    {"sms", FlagKind::Int, "6", "number of SMs to simulate"},
+    {"idle-detect", FlagKind::Count, "5", "idle-detect window (cycles)"},
+    {"bet", FlagKind::Count, "14", "break-even time (cycles)"},
+    {"wakeup", FlagKind::Count, "3", "wakeup delay (cycles)"},
+    {"sms", FlagKind::Count, "6", "number of SMs to simulate"},
     {"seed", FlagKind::Int, "1", "experiment seed"},
     {"no-fastforward", FlagKind::Bool, "",
      "disable the event-horizon fast-forward and step every cycle "
@@ -80,7 +80,7 @@ constexpr FlagSpec kFlags[] = {
      "fast-forward coverage (profile.*) in the metrics registry and "
      "print a phase table; the table's export row includes the "
      "--metrics write, the file's own profile.phase.export cannot"},
-    {"checkpoint-at", FlagKind::Int, "0",
+    {"checkpoint-at", FlagKind::Count, "0",
      "pause at this cycle (epoch boundaries by convention) and write "
      "the snapshot named by --checkpoint (single benchmark only)"},
     {"checkpoint", FlagKind::String, "",
@@ -139,11 +139,11 @@ main(int argc, char** argv)
     }
 
     ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getInt("sms"));
+    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
     opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = static_cast<Cycle>(args.getInt("idle-detect"));
-    opts.breakEven = static_cast<Cycle>(args.getInt("bet"));
-    opts.wakeupDelay = static_cast<Cycle>(args.getInt("wakeup"));
+    opts.idleDetect = args.getCount("idle-detect");
+    opts.breakEven = args.getCount("bet");
+    opts.wakeupDelay = args.getCount("wakeup");
 
     // The run's identity: the (bench, technique, options) cell plus the
     // config overrides. A written checkpoint records exactly this block
@@ -174,10 +174,7 @@ main(int argc, char** argv)
     ident.gateSfuOverride = args.getBool("gate-sfu");
 
     const bool resuming = args.given("resume");
-    const Cycle checkpoint_at =
-        args.getInt("checkpoint-at") > 0
-            ? static_cast<Cycle>(args.getInt("checkpoint-at"))
-            : 0;
+    const Cycle checkpoint_at = args.getCount("checkpoint-at");
     const bool checkpointing =
         args.given("checkpoint") || args.given("checkpoint-at");
     if (checkpointing &&

@@ -43,7 +43,7 @@ using namespace wg;
 constexpr FlagSpec kFlags[] = {
     {"check", FlagKind::Bool, "", "verify the gating invariants"},
     {"quiet", FlagKind::Bool, "", "suppress the event summary"},
-    {"max-report", FlagKind::Int, "20",
+    {"max-report", FlagKind::Count, "20",
      "print at most this many violations (0 = all)"},
 };
 
@@ -148,8 +148,7 @@ main(int argc, char** argv)
             std::cout << "check: all gating invariants hold\n";
         return 0;
     }
-    std::uint64_t limit =
-        static_cast<std::uint64_t>(args.getInt("max-report"));
+    const std::uint64_t limit = args.getCount("max-report");
     std::uint64_t shown = 0;
     for (const trace::Violation& v : violations) {
         if (limit > 0 && shown++ >= limit) {
