@@ -1,5 +1,6 @@
 #include "args.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -8,59 +9,25 @@
 
 namespace wg {
 
-ArgParser::ArgParser(std::string program, std::string description)
+ArgParser::ArgParser(std::string program, std::string description,
+                     std::span<const FlagSpec> flags,
+                     std::span<const FlagSpec> shared)
     : program_(std::move(program)), description_(std::move(description))
 {
-}
-
-ArgParser::ArgParser(std::string program, std::string description,
-                     std::span<const FlagSpec> flags)
-    : ArgParser(std::move(program), std::move(description))
-{
-    for (const FlagSpec& spec : flags) {
-        // Keep the default text exactly as written in the table (the
-        // typed accessors parse it on demand), so --help shows what
-        // the author wrote.
-        const std::string def =
-            spec.kind == FlagKind::Bool ? "false" : spec.def;
-        flags_[spec.name] = Flag{spec.kind, def, spec.help, def, false};
-        order_.push_back(spec.name);
+    for (std::span<const FlagSpec> table : {flags, shared}) {
+        for (const FlagSpec& spec : table) {
+            // Keep the default text exactly as written in the table
+            // (the typed accessors parse it on demand), so --help
+            // shows what the author wrote.
+            const std::string def =
+                spec.kind == FlagKind::Bool ? "false" : spec.def;
+            if (!flags_.emplace(spec.name, Flag{spec.kind, def, spec.help,
+                                                spec.max, def, false})
+                     .second)
+                panic("ArgParser: flag --", spec.name, " declared twice");
+            order_.push_back(spec.name);
+        }
     }
-}
-
-void
-ArgParser::addString(const std::string& name, const std::string& def,
-                     const std::string& help)
-{
-    flags_[name] = Flag{Kind::String, def, help, def, false};
-    order_.push_back(name);
-}
-
-void
-ArgParser::addInt(const std::string& name, std::int64_t def,
-                  const std::string& help)
-{
-    flags_[name] =
-        Flag{Kind::Int, std::to_string(def), help, std::to_string(def),
-             false};
-    order_.push_back(name);
-}
-
-void
-ArgParser::addDouble(const std::string& name, double def,
-                     const std::string& help)
-{
-    std::ostringstream os;
-    os << def;
-    flags_[name] = Flag{Kind::Double, os.str(), help, os.str(), false};
-    order_.push_back(name);
-}
-
-void
-ArgParser::addBool(const std::string& name, const std::string& help)
-{
-    flags_[name] = Flag{Kind::Bool, "false", help, "false", false};
-    order_.push_back(name);
 }
 
 bool
@@ -111,11 +78,17 @@ ArgParser::parse(int argc, const char* const* argv)
                 // Validate numeric values eagerly.
                 char* end = nullptr;
                 long long integer = 0;
+                errno = 0;
                 if (flag.kind == Kind::Double)
                     std::strtod(value.c_str(), &end);
                 else
                     integer = std::strtoll(value.c_str(), &end, 10);
-                if (end == value.c_str() || *end != '\0') {
+                // A Count past LLONG_MAX is over its bound; an Int
+                // there has no value the accessor could return.
+                const bool overflow =
+                    flag.kind != Kind::Double && errno == ERANGE;
+                if (end == value.c_str() || *end != '\0' ||
+                    (overflow && flag.kind == Kind::Int)) {
                     std::fprintf(stderr,
                                  "flag --%s: bad numeric value '%s'\n",
                                  name.c_str(), value.c_str());
@@ -126,6 +99,16 @@ ArgParser::parse(int argc, const char* const* argv)
                                  "flag --%s: must not be negative, got "
                                  "'%s'\n",
                                  name.c_str(), value.c_str());
+                    return false;
+                }
+                if (flag.kind == Kind::Count &&
+                    (overflow || integer > flag.max)) {
+                    std::fprintf(stderr,
+                                 "flag --%s: must be at most %lld, got "
+                                 "'%s'\n",
+                                 name.c_str(),
+                                 static_cast<long long>(flag.max),
+                                 value.c_str());
                     return false;
                 }
             }
@@ -198,6 +181,8 @@ ArgParser::usage() const
         os << "  --" << name;
         if (flag.kind != Kind::Bool)
             os << " <" << flag.def << ">";
+        if (flag.kind == Kind::Count)
+            os << " (max " << flag.max << ")";
         os << "\n      " << flag.help << "\n";
     }
     return os.str();

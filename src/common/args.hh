@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -18,8 +19,9 @@ namespace wg {
 
 /**
  * Value type of one command-line flag. Count is an Int that parse()
- * rejects when negative: sizes, counts, ports and cycle budgets, which
- * the tools hold in unsigned types a negative value would wrap.
+ * rejects when negative or above its row's `max`: sizes, counts, ports
+ * and cycle budgets, which the tools hold in unsigned types a negative
+ * value would wrap and a narrower type would truncate.
  */
 enum class FlagKind : std::uint8_t { String, Int, Count, Double, Bool };
 
@@ -35,33 +37,26 @@ struct FlagSpec
     FlagKind kind;
     const char* def;  ///< default, rendered verbatim (ignored for Bool)
     const char* help; ///< one-line description for --help
+    /**
+     * Count only: the largest accepted value. A row whose value is
+     * narrowed or range-checked names that type's maximum or that
+     * limit; the default is the largest value the parser reads.
+     */
+    std::int64_t max = std::numeric_limits<std::int64_t>::max();
 };
 
 /** Declarative flag set + parsed values. */
 class ArgParser
 {
   public:
-    /** @param program name shown in usage output. */
-    explicit ArgParser(std::string program, std::string description = "");
-
-    /** Declare every flag of @p flags up front (table form). */
+    /**
+     * Declare every flag of @p flags, then of @p shared (a table more
+     * than one tool uses), in that order.
+     * @param program name shown in usage output.
+     */
     ArgParser(std::string program, std::string description,
-              std::span<const FlagSpec> flags);
-
-    /** Declare a string flag. */
-    void addString(const std::string& name, const std::string& def,
-                   const std::string& help);
-
-    /** Declare an integer flag. */
-    void addInt(const std::string& name, std::int64_t def,
-                const std::string& help);
-
-    /** Declare a double flag. */
-    void addDouble(const std::string& name, double def,
-                   const std::string& help);
-
-    /** Declare a boolean flag (presence = true). */
-    void addBool(const std::string& name, const std::string& help);
+              std::span<const FlagSpec> flags,
+              std::span<const FlagSpec> shared = {});
 
     /**
      * Parse argv. @return false on error or when --help was given (an
@@ -102,6 +97,7 @@ class ArgParser
         Kind kind;
         std::string def;
         std::string help;
+        std::int64_t max;
         std::string value;
         bool given = false;
     };

@@ -220,22 +220,15 @@ class Collector
 {
   public:
     /**
-     * @param epoch_length sampling period override; 0 takes the
-     *        config's adaptive-epoch length at prepare() time.
+     * Create (or re-create) one sampler per SM, sampling every
+     * @p config_epoch_length cycles (1000 when that is 0). Not
+     * thread-safe.
      */
-    explicit Collector(Cycle epoch_length = 0)
-        : epoch_override_(epoch_length)
-    {
-    }
-
-    /** Create (or re-create) one sampler per SM. Not thread-safe. */
     void
     prepare(std::uint32_t num_sms, Cycle config_epoch_length)
     {
-        epoch_length_ = epoch_override_ ? epoch_override_
-                                        : config_epoch_length;
-        if (epoch_length_ == 0)
-            epoch_length_ = 1000;
+        epoch_length_ =
+            config_epoch_length != 0 ? config_epoch_length : 1000;
         samplers_.clear();
         samplers_.reserve(num_sms);
         for (std::uint32_t s = 0; s < num_sms; ++s)
@@ -293,7 +286,6 @@ class Collector
     std::uint64_t ffSpans = 0;
 
   private:
-    Cycle epoch_override_;
     Cycle epoch_length_ = 0;
     std::vector<std::unique_ptr<EpochSampler>> samplers_;
 };

@@ -196,4 +196,16 @@ writeFile(const std::string& path, const std::string& content)
         fatal("write to '", path, "' failed");
 }
 
+bool
+readFile(const std::string& path, std::string& out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in.good())
+        return false;
+    std::ostringstream os;
+    os << in.rdbuf();
+    out = os.str();
+    return true;
+}
+
 } // namespace wg

@@ -72,4 +72,7 @@ void reportResults(std::ostream& os,
 /** Write @p content to @p path; fatal() on I/O failure. */
 void writeFile(const std::string& path, const std::string& content);
 
+/** Read all of @p path into @p out; @return false when it cannot. */
+bool readFile(const std::string& path, std::string& out);
+
 } // namespace wg

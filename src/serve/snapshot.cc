@@ -95,7 +95,7 @@ snapshotConfig(const SnapshotIdentity& id, GpuConfig& out,
         out.sm.pg.gateSfu = true;
     const std::vector<std::string> problems = out.validate();
     if (!problems.empty()) {
-        error = "invalid snapshot configuration: " + problems.front();
+        error = "invalid configuration: " + problems.front();
         return false;
     }
     return true;

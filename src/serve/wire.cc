@@ -69,8 +69,10 @@ fromJson(const Json& j, ExperimentOptions& out, std::string& error)
 {
     if (!decode(j, "options", out, error))
         return false;
-    if (out.numSms == 0 || out.numSms > 4096)
-        return failAt(error, "options.numSms", "must be in [1, 4096]");
+    if (out.numSms == 0 || out.numSms > GpuConfig::kMaxSms)
+        return failAt(error, "options.numSms",
+                      "must be in [1, " +
+                          std::to_string(GpuConfig::kMaxSms) + "]");
     return true;
 }
 
@@ -133,45 +135,6 @@ fromJson(const Json& j, SweepSpec& out, std::string& error)
     out = SweepSpec(std::move(bench_names), std::move(techs),
                     std::move(options));
     return true;
-}
-
-Json
-optionsDoc(const ExperimentOptions& opts)
-{
-    Json doc = makeEnvelope("options");
-    doc.set("options", toJson(opts));
-    return doc;
-}
-
-bool
-parseOptionsDoc(const Json& doc, ExperimentOptions& out,
-                std::string& error)
-{
-    if (!checkEnvelope(doc, "options", error))
-        return false;
-    const Json* body = nullptr;
-    if (!getMember(doc, "$", "options", body, error))
-        return false;
-    return fromJson(*body, out, error);
-}
-
-Json
-sweepDoc(const SweepSpec& spec)
-{
-    Json doc = makeEnvelope("sweep");
-    doc.set("sweep", toJson(spec));
-    return doc;
-}
-
-bool
-parseSweepDoc(const Json& doc, SweepSpec& out, std::string& error)
-{
-    if (!checkEnvelope(doc, "sweep", error))
-        return false;
-    const Json* body = nullptr;
-    if (!getMember(doc, "$", "sweep", body, error))
-        return false;
-    return fromJson(*body, out, error);
 }
 
 Json

@@ -1,20 +1,24 @@
 /**
  * @file
- * Versioned JSON wire format for the serving subsystem (and, later,
- * checkpoint sharding): a stable round-trip for ExperimentOptions,
- * SweepSpec and SimResult.
+ * Versioned JSON wire format for the serving subsystem: a stable
+ * round-trip for ExperimentOptions, SweepSpec and SimResult.
  *
- * Document shapes (schema version 2, golden-pinned by wire_test;
- * version-1 documents — the same shapes under "wire":1 — still parse):
+ * ExperimentOptions and SweepSpec travel as bare bodies inside protocol
+ * requests (toJson/fromJson below):
  *
- *   options  {"wire":2,"type":"options","options":{...}}
- *   sweep    {"wire":2,"type":"sweep","sweep":{"benches":[...],
- *             "techniques":[...],"options":{...}?}}
+ *   options  {"numSms":...,"seed":...,"idleDetect":...,
+ *             "breakEven":...,"wakeupDelay":...}
+ *   sweep    {"benches":[...],"techniques":[...],"options":{...}?}
+ *
+ * A result is an enveloped document (schema version 2, golden-pinned
+ * by wire_test; version-1 documents — the same shape under "wire":1 —
+ * still parse):
+ *
  *   result   {"wire":2,"type":"result","bench":"...",
  *             "technique":"...","options":{...},"result":{...}}
  *
- * Checkpoint snapshot documents are the fourth family; their codec
- * lives in serve/snapshot.hh.
+ * Checkpoint snapshot documents are the other enveloped family; their
+ * codec lives in serve/snapshot.hh.
  *
  * Conventions:
  *   - Member names are camelCase and never contain '_', the same rule
@@ -61,7 +65,10 @@ inline constexpr std::uint64_t kMinSchemaVersion = 1;
 
 // ----- bare bodies (no envelope) -----
 
-/** ExperimentOptions -> {"numSms":...,"seed":...,...}. */
+/**
+ * ExperimentOptions -> {"numSms":...,"seed":...,...}. fromJson rejects
+ * a numSms outside [1, GpuConfig::kMaxSms].
+ */
 Json toJson(const ExperimentOptions& opts);
 bool fromJson(const Json& j, ExperimentOptions& out,
               std::string& error);
@@ -71,13 +78,6 @@ Json toJson(const SweepSpec& spec);
 bool fromJson(const Json& j, SweepSpec& out, std::string& error);
 
 // ----- enveloped documents -----
-
-Json optionsDoc(const ExperimentOptions& opts);
-bool parseOptionsDoc(const Json& doc, ExperimentOptions& out,
-                     std::string& error);
-
-Json sweepDoc(const SweepSpec& spec);
-bool parseSweepDoc(const Json& doc, SweepSpec& out, std::string& error);
 
 /**
  * Serialize one (bench, technique, options) cell's result. @p opts must

@@ -175,16 +175,6 @@ SimSession::done() const
     return true;
 }
 
-Cycle
-SimSession::maxNow() const
-{
-    Cycle m = 0;
-    for (const auto& sm : sms_)
-        if (sm->now() > m)
-            m = sm->now();
-    return m;
-}
-
 SimResult
 SimSession::aggregate(std::vector<SmStats> stats)
 {

@@ -102,9 +102,6 @@ class SimSession
     /** @return true when every SM has drained. */
     bool done() const;
 
-    /** Slowest SM's current cycle. */
-    Cycle maxNow() const;
-
     unsigned numSms() const
     {
         return static_cast<unsigned>(sms_.size());

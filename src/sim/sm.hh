@@ -140,8 +140,6 @@ class Sm
     const MemorySystem& memory() const { return mem_; }
     const ExecUnit& intCluster(unsigned i) const { return int_[i]; }
     const ExecUnit& fpCluster(unsigned i) const { return fp_[i]; }
-    const ExecUnit& sfuUnit() const { return sfu_; }
-    const ExecUnit& ldstUnit() const { return ldst_; }
     const WarpSet& warps() const { return warps_; }
     WarpLoc warpLoc(WarpId w) const { return warps_.loc(w); }
     std::size_t numWarps() const { return warps_.size(); }

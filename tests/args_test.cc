@@ -10,15 +10,17 @@
 namespace wg {
 namespace {
 
+constexpr FlagSpec kFlags[] = {
+    {"name", FlagKind::String, "default", "a string"},
+    {"count", FlagKind::Int, "7", "an int"},
+    {"ratio", FlagKind::Double, "0.5", "a double"},
+    {"verbose", FlagKind::Bool, "", "a bool"},
+};
+
 ArgParser
 makeParser()
 {
-    ArgParser args("prog", "test program");
-    args.addString("name", "default", "a string");
-    args.addInt("count", 7, "an int");
-    args.addDouble("ratio", 0.5, "a double");
-    args.addBool("verbose", "a bool");
-    return args;
+    return ArgParser("prog", "test program", kFlags);
 }
 
 bool
@@ -77,16 +79,49 @@ TEST(Args, CountRejectsNegativeValues)
 {
     // A Count flag lands in an unsigned type, where -1 would wrap to
     // a huge size or cycle budget.
-    static constexpr FlagSpec kFlags[] = {
+    static constexpr FlagSpec kCounts[] = {
         {"sms", FlagKind::Count, "6", "a count"}};
-    ArgParser args("prog", "", kFlags);
+    ArgParser args("prog", "", kCounts);
     ASSERT_TRUE(parse(args, {"--sms", "0"}));
     EXPECT_EQ(args.getCount("sms"), 0u);
-    ArgParser negative("prog", "", kFlags);
+    ArgParser negative("prog", "", kCounts);
     EXPECT_FALSE(parse(negative, {"--sms", "-1"}));
     EXPECT_FALSE(negative.helpRequested());
-    ArgParser equals("prog", "", kFlags);
+    ArgParser equals("prog", "", kCounts);
     EXPECT_FALSE(parse(equals, {"--sms=-5"}));
+}
+
+TEST(Args, CountRejectsValuesAboveItsBound)
+{
+    // The row's bound is the type the value is narrowed into, so a
+    // value above it would truncate instead of being used.
+    static constexpr FlagSpec kCounts[] = {
+        {"port", FlagKind::Count, "7421", "a port", 65535},
+        {"budget", FlagKind::Count, "0", "an unbounded count"}};
+    ArgParser at("prog", "", kCounts);
+    ASSERT_TRUE(parse(at, {"--port", "65535"}));
+    EXPECT_EQ(at.getCount("port"), 65535u);
+    ArgParser over("prog", "", kCounts);
+    EXPECT_FALSE(parse(over, {"--port=65536"}));
+    EXPECT_FALSE(over.helpRequested());
+    // Past LLONG_MAX is over every bound, not a saturated value.
+    ArgParser huge("prog", "", kCounts);
+    EXPECT_FALSE(parse(huge, {"--budget", "99999999999999999999"}));
+    ArgParser most("prog", "", kCounts);
+    ASSERT_TRUE(parse(most, {"--budget", "9223372036854775807"}));
+    EXPECT_EQ(most.getCount("budget"), 9223372036854775807u);
+}
+
+TEST(Args, SharedTableIsDeclaredAfterTheToolsOwn)
+{
+    static constexpr FlagSpec kShared[] = {
+        {"seed", FlagKind::Int, "1", "a shared int"}};
+    ArgParser args("prog", "", kFlags, kShared);
+    ASSERT_TRUE(parse(args, {"--seed", "-4", "--count", "3"}));
+    EXPECT_EQ(args.getInt("seed"), -4);
+    EXPECT_EQ(args.getInt("count"), 3);
+    const std::string usage = args.usage();
+    EXPECT_LT(usage.find("--verbose"), usage.find("--seed"));
 }
 
 TEST(Args, PositionalArguments)
@@ -116,6 +151,9 @@ TEST(Args, BadNumericValueFails)
     EXPECT_FALSE(parse(args, {"--count", "abc"}));
     ArgParser args2 = makeParser();
     EXPECT_FALSE(parse(args2, {"--ratio", "1.2.3"}));
+    // An Int past the 64-bit range has no value to return.
+    ArgParser args3 = makeParser();
+    EXPECT_FALSE(parse(args3, {"--count", "-99999999999999999999"}));
 }
 
 TEST(Args, HelpReturnsFalse)
@@ -140,12 +178,26 @@ TEST(Args, UsageListsFlags)
     EXPECT_NE(usage.find("--count"), std::string::npos);
     EXPECT_NE(usage.find("a double"), std::string::npos);
     EXPECT_NE(usage.find("prog"), std::string::npos);
+
+    static constexpr FlagSpec kCounts[] = {
+        {"port", FlagKind::Count, "7421", "a port", 65535}};
+    EXPECT_NE(ArgParser("prog", "", kCounts).usage().find(
+                  "--port <7421> (max 65535)"),
+              std::string::npos);
 }
 
 TEST(ArgsDeath, UndeclaredAccessPanics)
 {
     ArgParser args = makeParser();
     EXPECT_DEATH(args.getString("ghost"), "never declared");
+}
+
+TEST(ArgsDeath, DuplicateDeclarationPanics)
+{
+    static constexpr FlagSpec kShared[] = {
+        {"name", FlagKind::String, "", "declared by the tool as well"}};
+    EXPECT_DEATH(ArgParser("prog", "", kFlags, kShared),
+                 "declared twice");
 }
 
 TEST(ArgsDeath, WrongTypeAccessPanics)

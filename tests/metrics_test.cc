@@ -157,10 +157,6 @@ TEST(EpochCollector, PrepareResolvesEpochLength)
     ASSERT_NE(by_config.sampler(1), nullptr);
     EXPECT_EQ(by_config.sampler(2), nullptr);
 
-    metrics::Collector overridden(250);
-    overridden.prepare(1, 500);
-    EXPECT_EQ(overridden.epochLength(), 250u);
-
     metrics::Collector fallback;
     fallback.prepare(1, 0);
     EXPECT_EQ(fallback.epochLength(), 1000u);

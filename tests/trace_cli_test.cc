@@ -2,8 +2,10 @@
 // wgsim records a trace, wgtrace replays it. Covers the exit codes
 // (0 clean, 1 unchecked SMs, 2 parse errors) and the diagnostics that
 // unit tests of the reader cannot see. Also checks that wgsim's --json
-// file holds every result of a multi-benchmark run, and that wgsim
-// rejects out-of-range sizes before it simulates anything.
+// file holds every result of a multi-benchmark run, that wgsim rejects
+// out-of-range sizes before it simulates anything, and that wgctl and
+// wgservd reject counts their types cannot hold before they open a
+// socket.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -264,13 +266,50 @@ TEST(WgsimCli, NegativeOrOversizedCountsAreUsageErrors)
     // wrap: -1 SMs asks for ~4e9 SMs, a -5 cycle BET for ~1.8e19.
     const std::string wgsim = std::string(WGSIM_BINARY) +
                               " --bench hotspot --quiet ";
-    for (const char* flags : {"--sms -1", "--bet -5", "--sms 1025"}) {
+    for (const char* flags :
+         {"--sms -1", "--bet -5", "--sms 1025", "--sms 4294967297"}) {
         const ToolRun r = run(wgsim + flags);
         EXPECT_EQ(r.exitCode, 2) << flags << "\n" << r.output;
     }
+    // 2^32 + 1 must not narrow to 1 SM; the message names the bound.
+    const ToolRun wide = run(wgsim + "--sms 4294967297");
+    EXPECT_NE(wide.output.find("at most 1024"), std::string::npos)
+        << wide.output;
+    // Zero SMs parses, then fails validation as a plain configuration
+    // error: no snapshot is involved.
+    const ToolRun zero = run(wgsim + "--sms 0");
+    EXPECT_EQ(zero.exitCode, 2) << zero.output;
+    EXPECT_NE(zero.output.find("invalid configuration: numSms"),
+              std::string::npos)
+        << zero.output;
+    EXPECT_EQ(zero.output.find("snapshot"), std::string::npos)
+        << zero.output;
     // A negative seed or --trace-sm is still a legal value.
     const ToolRun ok = run(wgsim + "--sms 1 --seed -1 --trace-sm -1");
     EXPECT_EQ(ok.exitCode, 0) << ok.output;
+}
+
+TEST(ServeCli, OverBoundCountsAreUsageErrors)
+{
+    // Each value is above what its destination type holds (a 16-bit
+    // port, an unsigned priority or job count, an int millisecond
+    // timeout), so parsing rejects it before any socket is opened.
+    // The timeout and the free port keep a regression from leaving a
+    // daemon behind, or from starting one on the default port.
+    const std::string wgctl = std::string("timeout 10 ") + WGCTL_BINARY;
+    const std::string wgservd =
+        std::string("timeout 10 ") + WGSERVD_BINARY;
+    for (const std::string& cmd :
+         {wgctl + " status --port 70000",
+          wgctl + " submit --port 1 --priority 4294967296",
+          wgctl + " submit --port 1 --timeout-sec 3000000",
+          wgservd + " --port 70000",
+          wgservd + " --port 0 --max-concurrent 4294967296"}) {
+        const ToolRun r = run(cmd);
+        EXPECT_EQ(r.exitCode, 2) << cmd << "\n" << r.output;
+        EXPECT_NE(r.output.find("must be at most"), std::string::npos)
+            << cmd << "\n" << r.output;
+    }
 }
 
 } // namespace

@@ -70,21 +70,6 @@ tinyResult()
     return runner.run("hotspot", Technique::WarpedGates);
 }
 
-TEST(WireGolden, OptionsDocIsPinned)
-{
-    Json doc = serve::wire::optionsDoc(distinctiveOptions());
-    EXPECT_EQ(doc.dump(), golden("wire_options_v2.json", doc.dump()));
-}
-
-TEST(WireGolden, SweepDocIsPinned)
-{
-    SweepSpec spec({"hotspot", "sgemm"},
-                   {Technique::Baseline, Technique::WarpedGates},
-                   distinctiveOptions());
-    Json doc = serve::wire::sweepDoc(spec);
-    EXPECT_EQ(doc.dump(), golden("wire_sweep_v2.json", doc.dump()));
-}
-
 TEST(WireGolden, ResultDocIsPinned)
 {
     Json doc = serve::wire::resultDoc(
@@ -109,50 +94,24 @@ TEST(WireGolden, JobSnapshotDocIsPinned)
 }
 
 /**
- * The committed v1 goldens stay as back-compat fixtures: a build that
- * emits schema 2 must keep parsing every version-1 document.
+ * The committed v1 result golden stays as a back-compat fixture: a
+ * build that emits schema 2 must keep parsing version-1 documents.
  */
 TEST(WireBackCompat, V1DocumentsStillParse)
 {
-    struct Case
-    {
-        const char* file;
-        const char* type;
-    };
-    const Case kCases[] = {
-        {"wire_options_v1.json", "options"},
-        {"wire_sweep_v1.json", "sweep"},
-        {"wire_result_hotspot_v1.json", "result"},
-    };
-    for (const Case& c : kCases) {
-        std::ifstream in(goldenPath(c.file));
-        ASSERT_TRUE(in.good()) << c.file;
-        std::ostringstream os;
-        os << in.rdbuf();
-        Json doc;
-        std::string error;
-        ASSERT_TRUE(Json::parse(os.str(), doc, error))
-            << c.file << ": " << error;
-        EXPECT_EQ(doc.find("wire")->asU64(), 1u) << c.file;
-        if (std::string(c.type) == "options") {
-            ExperimentOptions out;
-            EXPECT_TRUE(serve::wire::parseOptionsDoc(doc, out, error))
-                << error;
-            EXPECT_EQ(out.seed, distinctiveOptions().seed);
-        } else if (std::string(c.type) == "sweep") {
-            SweepSpec out({}, {});
-            EXPECT_TRUE(serve::wire::parseSweepDoc(doc, out, error))
-                << error;
-            EXPECT_EQ(out.benches.size(), 2u);
-        } else {
-            serve::wire::ResultCell cell;
-            EXPECT_TRUE(serve::wire::parseResultDoc(doc, cell, error))
-                << error;
-            StatSet original = metrics::toStatSet(tinyResult());
-            StatSet rebuilt = metrics::toStatSet(cell.result);
-            EXPECT_EQ(original.entries(), rebuilt.entries());
-        }
-    }
+    std::ifstream in(goldenPath("wire_result_hotspot_v1.json"));
+    ASSERT_TRUE(in.good());
+    std::ostringstream os;
+    os << in.rdbuf();
+    Json doc;
+    std::string error;
+    ASSERT_TRUE(Json::parse(os.str(), doc, error)) << error;
+    EXPECT_EQ(doc.find("wire")->asU64(), 1u);
+    serve::wire::ResultCell cell;
+    EXPECT_TRUE(serve::wire::parseResultDoc(doc, cell, error)) << error;
+    StatSet original = metrics::toStatSet(tinyResult());
+    StatSet rebuilt = metrics::toStatSet(cell.result);
+    EXPECT_EQ(original.entries(), rebuilt.entries());
 }
 
 TEST(WireRoundTrip, JobSnapshotSurvivesExactly)
@@ -197,19 +156,18 @@ TEST(WireRoundTrip, JobSnapshotSurvivesExactly)
 TEST(WireRoundTrip, OptionsSurviveExactly)
 {
     ExperimentOptions opts = distinctiveOptions();
-    Json doc = serve::wire::optionsDoc(opts);
+    Json doc = serve::wire::toJson(opts);
     Json reparsed;
     std::string error;
     ASSERT_TRUE(Json::parse(doc.dump(), reparsed, error)) << error;
     ExperimentOptions back;
-    ASSERT_TRUE(serve::wire::parseOptionsDoc(reparsed, back, error))
-        << error;
+    ASSERT_TRUE(serve::wire::fromJson(reparsed, back, error)) << error;
     EXPECT_EQ(back.numSms, opts.numSms);
     EXPECT_EQ(back.seed, opts.seed);
     EXPECT_EQ(back.idleDetect, opts.idleDetect);
     EXPECT_EQ(back.breakEven, opts.breakEven);
     EXPECT_EQ(back.wakeupDelay, opts.wakeupDelay);
-    // Serializing the reparsed document reproduces the bytes.
+    // Serializing the reparsed body reproduces the bytes.
     EXPECT_EQ(reparsed.dump(), doc.dump());
 }
 
@@ -218,30 +176,29 @@ TEST(WireRoundTrip, SweepSurvivesExactly)
     SweepSpec spec({"hotspot", "bfs"},
                    {Technique::Gates, Technique::ConvPG},
                    distinctiveOptions());
-    Json doc = serve::wire::sweepDoc(spec);
+    Json doc = serve::wire::toJson(spec);
     Json reparsed;
     std::string error;
     ASSERT_TRUE(Json::parse(doc.dump(), reparsed, error)) << error;
     SweepSpec back({}, {});
-    ASSERT_TRUE(serve::wire::parseSweepDoc(reparsed, back, error))
-        << error;
+    ASSERT_TRUE(serve::wire::fromJson(reparsed, back, error)) << error;
     EXPECT_EQ(back.benches, spec.benches);
     EXPECT_EQ(back.techniques, spec.techniques);
     ASSERT_TRUE(back.options.has_value());
     EXPECT_EQ(back.options->seed, spec.options->seed);
-    EXPECT_EQ(serve::wire::sweepDoc(back).dump(), doc.dump());
+    EXPECT_EQ(serve::wire::toJson(back).dump(), doc.dump());
 }
 
 TEST(WireRoundTrip, SweepWithoutOptionsOmitsThem)
 {
     SweepSpec spec({"hotspot"}, {Technique::Baseline});
-    Json doc = serve::wire::sweepDoc(spec);
+    Json doc = serve::wire::toJson(spec);
     EXPECT_EQ(doc.dump().find("options"), std::string::npos);
     Json reparsed;
     std::string error;
     ASSERT_TRUE(Json::parse(doc.dump(), reparsed, error)) << error;
     SweepSpec back({}, {});
-    ASSERT_TRUE(serve::wire::parseSweepDoc(reparsed, back, error));
+    ASSERT_TRUE(serve::wire::fromJson(reparsed, back, error));
     EXPECT_FALSE(back.options.has_value());
 }
 
@@ -280,12 +237,13 @@ TEST(WireRoundTrip, ResultSurvivesToTheLastBit)
 
 TEST(WireVersion, MismatchIsRejectedCleanly)
 {
-    ExperimentOptions opts;
-    Json doc = serve::wire::optionsDoc(opts);
+    Json doc = serve::wire::resultDoc("hotspot", Technique::WarpedGates,
+                                      distinctiveOptions(),
+                                      tinyResult());
     doc.set("wire", Json::number(std::uint64_t(3)));
     std::string error;
-    ExperimentOptions out;
-    EXPECT_FALSE(serve::wire::parseOptionsDoc(doc, out, error));
+    serve::wire::ResultCell out;
+    EXPECT_FALSE(serve::wire::parseResultDoc(doc, out, error));
     EXPECT_NE(error.find("unsupported schema version 3"),
               std::string::npos)
         << error;
@@ -293,11 +251,14 @@ TEST(WireVersion, MismatchIsRejectedCleanly)
 
 TEST(WireVersion, WrongTypeIsRejected)
 {
-    Json doc = serve::wire::optionsDoc(ExperimentOptions{});
+    Json doc = serve::wire::resultDoc("hotspot", Technique::WarpedGates,
+                                      distinctiveOptions(),
+                                      tinyResult());
     std::string error;
-    SweepSpec out({}, {});
-    EXPECT_FALSE(serve::wire::parseSweepDoc(doc, out, error));
-    EXPECT_NE(error.find("expected 'sweep'"), std::string::npos)
+    serve::wire::SnapshotIdentity id;
+    GpuSnapshot snap;
+    EXPECT_FALSE(serve::wire::parseSnapshotDoc(doc, id, snap, error));
+    EXPECT_NE(error.find("expected 'snapshot'"), std::string::npos)
         << error;
 }
 
@@ -367,37 +328,48 @@ TEST(WireMalformed, DocumentsRejectWrongShapes)
         const char* text;
         const char* needle; ///< must appear in the error
     };
-    const Case kCases[] = {
+    const Case kEnvelopes[] = {
         {"[]", "expected an object"},
-        {"{\"type\":\"sweep\"}", "missing schema version"},
+        {"{\"type\":\"result\"}", "missing schema version"},
         {"{\"wire\":1}", "missing member 'type'"},
-        {"{\"wire\":1,\"type\":\"sweep\"}", "missing member 'sweep'"},
-        {"{\"wire\":1,\"type\":\"sweep\",\"sweep\":{\"benches\":[],"
-         "\"techniques\":[\"Baseline\"]}}",
+    };
+    for (const Case& c : kEnvelopes) {
+        Json doc;
+        std::string error;
+        ASSERT_TRUE(Json::parse(c.text, doc, error)) << c.text;
+        EXPECT_FALSE(serve::wire::checkEnvelope(doc, "result", error))
+            << "accepted: " << c.text;
+        EXPECT_NE(error.find(c.needle), std::string::npos)
+            << "error was: " << error << "\nfor: " << c.text;
+    }
+    // Sweep bodies as a submit request carries them.
+    const Case kSweeps[] = {
+        {"{\"techniques\":[\"Baseline\"]}", "missing member 'benches'"},
+        {"{\"benches\":[],\"techniques\":[\"Baseline\"]}",
          "must not be empty"},
-        {"{\"wire\":1,\"type\":\"sweep\",\"sweep\":{\"benches\":"
-         "[\"hotspot\"],\"techniques\":[\"NoSuchThing\"]}}",
+        {"{\"benches\":[\"hotspot\"],\"techniques\":[\"NoSuchThing\"]}",
          "unknown technique"},
-        {"{\"wire\":1,\"type\":\"sweep\",\"sweep\":{\"benches\":[42],"
-         "\"techniques\":[\"Baseline\"]}}",
+        {"{\"benches\":[42],\"techniques\":[\"Baseline\"]}",
          "expected a string"},
-        {"{\"wire\":1,\"type\":\"sweep\",\"sweep\":{\"benches\":"
-         "[\"hotspot\"],\"techniques\":[\"Baseline\"],\"options\":"
-         "{\"numSms\":0,\"seed\":1,\"idleDetect\":5,\"breakEven\":14,"
-         "\"wakeupDelay\":3}}}",
-         "must be in [1, 4096]"},
-        {"{\"wire\":1,\"type\":\"sweep\",\"sweep\":{\"benches\":"
-         "[\"hotspot\"],\"techniques\":[\"Baseline\"],\"options\":"
-         "{\"numSms\":-3,\"seed\":1,\"idleDetect\":5,\"breakEven\":14,"
-         "\"wakeupDelay\":3}}}",
+        {"{\"benches\":[\"hotspot\"],\"techniques\":[\"Baseline\"],"
+         "\"options\":{\"numSms\":0,\"seed\":1,\"idleDetect\":5,"
+         "\"breakEven\":14,\"wakeupDelay\":3}}",
+         "must be in [1, 1024]"},
+        {"{\"benches\":[\"hotspot\"],\"techniques\":[\"Baseline\"],"
+         "\"options\":{\"numSms\":1025,\"seed\":1,\"idleDetect\":5,"
+         "\"breakEven\":14,\"wakeupDelay\":3}}",
+         "must be in [1, 1024]"},
+        {"{\"benches\":[\"hotspot\"],\"techniques\":[\"Baseline\"],"
+         "\"options\":{\"numSms\":-3,\"seed\":1,\"idleDetect\":5,"
+         "\"breakEven\":14,\"wakeupDelay\":3}}",
          "non-negative"},
     };
-    for (const Case& c : kCases) {
+    for (const Case& c : kSweeps) {
         Json doc;
         std::string error;
         ASSERT_TRUE(Json::parse(c.text, doc, error)) << c.text;
         SweepSpec out({}, {});
-        EXPECT_FALSE(serve::wire::parseSweepDoc(doc, out, error))
+        EXPECT_FALSE(serve::wire::fromJson(doc, out, error))
             << "accepted: " << c.text;
         EXPECT_NE(error.find(c.needle), std::string::npos)
             << "error was: " << error << "\nfor: " << c.text;

@@ -32,13 +32,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
-#include "common/args.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "experiment_flags.hh"
 #include "metrics/exporters.hh"
 #include "metrics/registry.hh"
 #include "report/export.hh"
@@ -49,7 +49,8 @@ namespace {
 using namespace wg;
 
 constexpr FlagSpec kFlags[] = {
-    {"port", FlagKind::Count, "7421", "daemon port on loopback"},
+    {"port", FlagKind::Count, "7421", "daemon port on loopback",
+     std::numeric_limits<std::uint16_t>::max()},
     {"bench", FlagKind::String, "hotspot",
      "comma-separated benchmarks, or 'all' for the full suite"},
     {"technique", FlagKind::String, "WarpedGates",
@@ -57,16 +58,13 @@ constexpr FlagSpec kFlags[] = {
      "NaiveBlackout|CoordBlackout|WarpedGates"},
     {"id", FlagKind::String, "",
      "job id (status/watch/result/cancel)"},
-    {"priority", FlagKind::Count, "0", "submit priority (higher first)"},
-    {"sms", FlagKind::Count, "6", "number of SMs to simulate"},
-    {"seed", FlagKind::Int, "1", "experiment seed"},
-    {"idle-detect", FlagKind::Count, "5", "idle-detect window (cycles)"},
-    {"bet", FlagKind::Count, "14", "break-even time (cycles)"},
-    {"wakeup", FlagKind::Count, "3", "wakeup delay (cycles)"},
+    {"priority", FlagKind::Count, "0", "submit priority (higher first)",
+     std::numeric_limits<unsigned>::max()},
     {"wait", FlagKind::Bool, "",
      "submit: wait for completion and print the results"},
     {"timeout-sec", FlagKind::Count, "600",
-     "deadline for --wait / drain / slow responses"},
+     "deadline for --wait / drain / slow responses",
+     std::numeric_limits<int>::max() / 1000},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
     {"csv", FlagKind::String, "", "write CSV rows to this file"},
     {"json", FlagKind::String, "",
@@ -82,19 +80,6 @@ constexpr FlagSpec kFlags[] = {
      "its completed cells seed the daemon's cache so only unfinished "
      "cells recompute"},
 };
-
-/** Slurp @p path; @return false when the file cannot be read. */
-bool
-readFile(const std::string& path, std::string& out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    out = os.str();
-    return true;
-}
 
 std::vector<std::string>
 splitCommas(const std::string& s)
@@ -135,14 +120,8 @@ buildSpec(const ArgParser& args, SweepSpec& spec)
 
     // Options ride along explicitly so the daemon's own defaults can
     // never change what this command line means.
-    ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
-    opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = args.getCount("idle-detect");
-    opts.breakEven = args.getCount("bet");
-    opts.wakeupDelay = args.getCount("wakeup");
-
-    spec = SweepSpec(std::move(benches), std::move(techniques), opts);
+    spec = SweepSpec(std::move(benches), std::move(techniques),
+                     readExperimentOptions(args));
     return true;
 }
 
@@ -300,7 +279,8 @@ int
 main(int argc, char** argv)
 {
     ArgParser args("wgctl",
-                   "client for the wgservd simulation daemon", kFlags);
+                   "client for the wgservd simulation daemon", kFlags,
+                   kExperimentFlags);
     if (!args.parse(argc, argv))
         return args.helpRequested() ? 0 : 2;
     if (args.positional().size() != 1) {

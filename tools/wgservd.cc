@@ -20,11 +20,12 @@
 
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <unistd.h>
 
-#include "common/args.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
+#include "experiment_flags.hh"
 #include "serve/server.hh"
 
 namespace {
@@ -33,21 +34,17 @@ using namespace wg;
 
 constexpr FlagSpec kFlags[] = {
     {"port", FlagKind::Count, "7421",
-     "loopback TCP port (0 = pick a free one; printed on stdout)"},
+     "loopback TCP port (0 = pick a free one; printed on stdout)",
+     std::numeric_limits<std::uint16_t>::max()},
     {"queue-capacity", FlagKind::Count, "256",
      "max queued jobs before submissions are rejected"},
     {"max-concurrent", FlagKind::Count, "2",
      "jobs dispatched concurrently (each fans per-SM work into the "
-     "pool)"},
+     "pool)",
+     std::numeric_limits<unsigned>::max()},
     {"priorities", FlagKind::Count, "4",
-     "number of priority levels (valid priorities: 0..n-1)"},
-    {"sms", FlagKind::Count, "6",
-     "default SMs per simulation (jobs may override)"},
-    {"seed", FlagKind::Int, "1", "default experiment seed"},
-    {"idle-detect", FlagKind::Count, "5",
-     "default idle-detect window (cycles)"},
-    {"bet", FlagKind::Count, "14", "default break-even time (cycles)"},
-    {"wakeup", FlagKind::Count, "3", "default wakeup delay (cycles)"},
+     "number of priority levels (valid priorities: 0..n-1)",
+     std::numeric_limits<unsigned>::max()},
     {"serial", FlagKind::Bool, "",
      "run simulations serially instead of on the shared thread pool "
      "(results are identical)"},
@@ -81,26 +78,20 @@ main(int argc, char** argv)
 {
     ArgParser args("wgservd",
                    "Warped Gates simulation daemon (JSON-over-TCP + "
-                   "OpenMetrics)",
-                   kFlags);
+                   "OpenMetrics); the experiment flags (--sms, --seed, "
+                   "--idle-detect, --bet, --wakeup) are the defaults of "
+                   "jobs that carry no options",
+                   kFlags, kExperimentFlags);
     if (!args.parse(argc, argv))
         return args.helpRequested() ? 0 : 2;
 
-    ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
-    opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = args.getCount("idle-detect");
-    opts.breakEven = args.getCount("bet");
-    opts.wakeupDelay = args.getCount("wakeup");
-
     ThreadPool* pool =
         args.getBool("serial") ? nullptr : &ThreadPool::global();
-    ExperimentRunner runner(opts, pool);
+    ExperimentRunner runner(readExperimentOptions(args), pool);
 
     serve::ServerConfig config;
     config.port = static_cast<std::uint16_t>(args.getCount("port"));
-    config.jobs.queueCapacity =
-        static_cast<std::size_t>(args.getCount("queue-capacity"));
+    config.jobs.queueCapacity = args.getCount("queue-capacity");
     config.jobs.maxConcurrentJobs =
         static_cast<unsigned>(args.getCount("max-concurrent"));
     config.jobs.numPriorities =

@@ -14,13 +14,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
-#include "common/args.hh"
 #include "core/warped_gates.hh"
+#include "experiment_flags.hh"
 #include "metrics/exporters.hh"
 #include "metrics/registry.hh"
 #include "report/export.hh"
@@ -47,11 +45,6 @@ constexpr FlagSpec kFlags[] = {
     {"adaptive", FlagKind::Bool, "",
      "override: enable adaptive idle detect"},
     {"gate-sfu", FlagKind::Bool, "", "extension: gate the SFU block too"},
-    {"idle-detect", FlagKind::Count, "5", "idle-detect window (cycles)"},
-    {"bet", FlagKind::Count, "14", "break-even time (cycles)"},
-    {"wakeup", FlagKind::Count, "3", "wakeup delay (cycles)"},
-    {"sms", FlagKind::Count, "6", "number of SMs to simulate"},
-    {"seed", FlagKind::Int, "1", "experiment seed"},
     {"no-fastforward", FlagKind::Bool, "",
      "disable the event-horizon fast-forward and step every cycle "
      "(bit-identical results, slower; for cross-checking)"},
@@ -91,19 +84,6 @@ constexpr FlagSpec kFlags[] = {
      "re-specify --trace/--metrics exactly as on the captured run"},
 };
 
-/** Slurp @p path; @return false when the file cannot be read. */
-bool
-readFile(const std::string& path, std::string& out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good())
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    out = os.str();
-    return true;
-}
-
 } // namespace
 
 int
@@ -111,7 +91,7 @@ main(int argc, char** argv)
 {
     ArgParser args("wgsim",
                    "Warped Gates simulator driver (MICRO'13 repro)",
-                   kFlags);
+                   kFlags, kExperimentFlags);
     if (!args.parse(argc, argv))
         return args.helpRequested() ? 0 : 2;
 
@@ -138,20 +118,13 @@ main(int argc, char** argv)
         return 2;
     }
 
-    ExperimentOptions opts;
-    opts.numSms = static_cast<unsigned>(args.getCount("sms"));
-    opts.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    opts.idleDetect = args.getCount("idle-detect");
-    opts.breakEven = args.getCount("bet");
-    opts.wakeupDelay = args.getCount("wakeup");
-
     // The run's identity: the (bench, technique, options) cell plus the
     // config overrides. A written checkpoint records exactly this block
     // so a later `--resume` can rebuild the same config and workload.
     serve::wire::SnapshotIdentity ident;
     ident.bench = args.getString("bench");
     ident.technique = tech;
-    ident.options = opts;
+    ident.options = readExperimentOptions(args);
     if (args.given("scheduler")) {
         SchedulerPolicy p;
         if (!parseSchedulerPolicy(args.getString("scheduler"), p)) {
@@ -189,12 +162,12 @@ main(int argc, char** argv)
     // identity; only observer flags (--trace/--metrics) and
     // --no-fastforward (unobservable in results) still apply.
     GpuSnapshot resume_snap;
+    const std::string resume_path = args.getString("resume");
     if (resuming) {
-        const std::string path = args.getString("resume");
         std::string text;
-        if (!readFile(path, text)) {
+        if (!readFile(resume_path, text)) {
             std::fprintf(stderr, "wgsim: cannot read %s\n",
-                         path.c_str());
+                         resume_path.c_str());
             return 2;
         }
         Json doc;
@@ -203,7 +176,7 @@ main(int argc, char** argv)
                                 serve::wire::snapshotJsonLimits()) ||
             !serve::wire::parseSnapshotDoc(doc, ident, resume_snap,
                                            error)) {
-            std::fprintf(stderr, "wgsim: %s: %s\n", path.c_str(),
+            std::fprintf(stderr, "wgsim: %s: %s\n", resume_path.c_str(),
                          error.c_str());
             return 2;
         }
@@ -212,7 +185,7 @@ main(int argc, char** argv)
             known_bench = known_bench || b == ident.bench;
         if (!known_bench) {
             std::fprintf(stderr, "wgsim: %s: unknown benchmark '%s'\n",
-                         path.c_str(), ident.bench.c_str());
+                         resume_path.c_str(), ident.bench.c_str());
             return 2;
         }
     }
@@ -221,6 +194,8 @@ main(int argc, char** argv)
     {
         std::string error;
         if (!serve::wire::snapshotConfig(ident, config, error)) {
+            if (resuming)
+                error = resume_path + ": " + error;
             std::fprintf(stderr, "wgsim: %s\n", error.c_str());
             return 2;
         }
@@ -298,8 +273,7 @@ main(int argc, char** argv)
                                           pool, coll, mets, &error);
             if (session == nullptr) {
                 std::fprintf(stderr, "wgsim: %s: %s\n",
-                             args.getString("resume").c_str(),
-                             error.c_str());
+                             resume_path.c_str(), error.c_str());
                 return 2;
             }
         } else {
