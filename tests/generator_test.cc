@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -95,6 +98,58 @@ TEST(Generator, PureIntegerProfileHasNoFp)
     const auto& p = findBenchmark("lavaMD");
     Program prog = gen.generate(p, 0);
     EXPECT_EQ(prog.countOf(UnitClass::Fp), 0u);
+}
+
+/** FNV-1a step over the low @p bytes of @p v. */
+void
+mix(std::uint64_t& h, std::uint64_t v, int bytes)
+{
+    for (int b = 0; b < bytes; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/**
+ * Digest of every SM's programs for all suite profiles at @p seed and
+ * 6 SMs: each warp's length, each class count and every field of
+ * every instruction, in warp order.
+ */
+std::uint64_t
+suiteDigest(std::uint64_t seed)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::string& name : benchmarkNames()) {
+        const BenchmarkProfile& profile = findBenchmark(name);
+        ProgramGenerator gen(seed);
+        for (unsigned s = 0; s < 6; ++s) {
+            for (const Program& prog : gen.generateSm(profile, s)) {
+                mix(h, prog.size(), 8);
+                for (std::size_t c = 0; c < kNumUnitClasses; ++c)
+                    mix(h, prog.countOf(static_cast<UnitClass>(c)), 8);
+                for (std::size_t i = 0; i < prog.size(); ++i) {
+                    const Instruction& x = prog.at(i);
+                    mix(h, static_cast<std::uint64_t>(x.unit), 1);
+                    mix(h, static_cast<std::uint64_t>(x.mem), 1);
+                    mix(h, x.dest, 2);
+                    mix(h, x.srcs[0], 2);
+                    mix(h, x.srcs[1], 2);
+                    mix(h, x.isStore ? 1 : 0, 1);
+                }
+            }
+        }
+    }
+    return h;
+}
+
+TEST(Generator, SuiteProgramsArePinned)
+{
+    // Every generated instruction feeds every golden; a change here
+    // re-pins them all. These values must never be regenerated to make
+    // a generator change pass.
+    EXPECT_EQ(suiteDigest(1), 0xd8b8f68c5b2b8415ULL);
+    EXPECT_EQ(suiteDigest(2), 0x4f530a4dd8fb37e5ULL);
+    EXPECT_EQ(suiteDigest(12345), 0xb6b96836463e7d55ULL);
 }
 
 /** Property tests over every suite benchmark. */
