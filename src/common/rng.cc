@@ -33,61 +33,13 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 }
 
 std::uint32_t
-Rng::nextU32()
+geometricHalfByLog(std::uint32_t m)
 {
-    std::uint64_t old = state_;
-    state_ = old * 6364136223846793005ULL + inc_;
-    std::uint32_t xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
-}
-
-std::uint32_t
-Rng::nextRange(std::uint32_t bound)
-{
-    // Lemire-style rejection to avoid modulo bias.
-    std::uint32_t threshold = (-bound) % bound;
-    for (;;) {
-        std::uint32_t r = nextU32();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::nextDouble()
-{
-    return nextU32() * (1.0 / 4294967296.0);
-}
-
-bool
-Rng::nextBool(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
-std::uint32_t
-Rng::nextGeometric(double p)
-{
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return 0xffffffffu;
-    // Inverse-CDF sampling; u in (0,1).
-    double u = nextDouble();
+    double u = m * (1.0 / 4294967296.0);
     if (u <= 0.0)
         u = 1e-12;
-    double k = std::floor(std::log(u) / std::log1p(-p));
-    if (k < 0.0)
-        k = 0.0;
-    if (k > 4294967294.0)
-        k = 4294967294.0;
-    return static_cast<std::uint32_t>(k);
+    return static_cast<std::uint32_t>(
+        std::floor(std::log(u) / std::log1p(-0.5)));
 }
 
 Rng

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/fields.hh"
@@ -64,22 +65,43 @@ class Rng
                  std::uint64_t stream = 0xda3e39cb94b95bdbULL);
 
     /** @return the next raw 32-bit value. */
-    std::uint32_t nextU32();
+    std::uint32_t
+    nextU32()
+    {
+        std::uint64_t old = state_;
+        state_ = old * 6364136223846793005ULL + inc_;
+        std::uint32_t xorshifted =
+            static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+        std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
+        return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
+    }
 
     /** @return a uniform value in [0, bound). bound must be non-zero. */
-    std::uint32_t nextRange(std::uint32_t bound);
+    std::uint32_t
+    nextRange(std::uint32_t bound)
+    {
+        // Lemire-style rejection to avoid modulo bias.
+        std::uint32_t threshold = (-bound) % bound;
+        for (;;) {
+            std::uint32_t r = nextU32();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** @return a uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return nextU32() * (1.0 / 4294967296.0); }
 
     /** @return true with probability p (clamped to [0,1]). */
-    bool nextBool(double p);
-
-    /**
-     * Sample a geometric distribution: number of failures before the
-     * first success with success probability p in (0, 1].
-     */
-    std::uint32_t nextGeometric(double p);
+    bool
+    nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
     /** Derive an independent child generator (for per-warp streams). */
     Rng fork(std::uint64_t salt);
@@ -113,6 +135,26 @@ class Rng
     std::uint64_t state_;
     std::uint64_t inc_;
 };
+
+/** geometricHalf()'s log formula, for m = 0 and powers of two. */
+std::uint32_t geometricHalfByLog(std::uint32_t m);
+
+/**
+ * Geometric draw with p = 0.5 (failures before the first success) by
+ * inverse CDF of u = m * 2^-32, for one raw nextU32() value @p m: the
+ * same value as floor(log(u) / log1p(-0.5)), with u = 1e-12 for m = 0.
+ * For 2^j < m < 2^(j+1), -log2(u) lies inside (31-j, 32-j) and at
+ * least 3e-10 from either end, far beyond the formula's ~1e-14
+ * rounding error, so the floor is 31 - j. Only m = 0 and exact powers
+ * of two, where -log2(u) is an integer, take the log formula.
+ */
+inline std::uint32_t
+geometricHalf(std::uint32_t m)
+{
+    if ((m & (m - 1)) != 0)
+        return 32u - static_cast<std::uint32_t>(std::bit_width(m));
+    return geometricHalfByLog(m);
+}
 
 } // namespace wg
 

@@ -80,7 +80,8 @@ class WarpSet
     /**
      * Bind one warp per program and reset all state. Every warp starts
      * Waiting with an empty i-buffer.
-     * @param programs one program per warp (size <= kMaxWarpsPerSm)
+     * @param programs one program per warp (size <= kMaxWarpsPerSm);
+     *        their instructions must outlive this set
      * @param depth decoded i-buffer entries per warp (>= 1)
      */
     void
@@ -88,7 +89,7 @@ class WarpSet
     {
         n_ = programs.size();
         depth_ = depth;
-        progs_.resize(n_);
+        code_.resize(n_);
         progSize_.resize(n_);
         ibuf_.assign(n_ * depth_, Instruction{});
         head_.assign(n_, 0);
@@ -103,7 +104,7 @@ class WarpSet
         fetchable_ = 0;
         drained_ = 0;
         for (std::size_t w = 0; w < n_; ++w) {
-            progs_[w] = &programs[w];
+            code_[w] = programs[w].instructions().data();
             progSize_[w] =
                 static_cast<std::uint32_t>(programs[w].size());
             locMask_[static_cast<std::size_t>(WarpLoc::Waiting)] |=
@@ -212,7 +213,7 @@ class WarpSet
             std::size_t slot = head_[w] + size_[w];
             if (slot >= depth_)
                 slot -= depth_;
-            const Instruction& instr = progs_[w]->at(pc_[w]++);
+            const Instruction& instr = code_[w][pc_[w]++];
             ibuf_[w * depth_ + slot] = instr;
             ++bufCls_[w * kNumUnitClasses +
                       static_cast<std::size_t>(instr.unit)];
@@ -310,8 +311,7 @@ class WarpSet
             for (std::size_t c = 0; c < kNumUnitClasses; ++c)
                 bufCls_[w * kNumUnitClasses + c] = 0;
             for (std::size_t i = 0; i < s.bufSize; ++i) {
-                const Instruction& instr =
-                    progs_[w]->at(s.pc - s.bufSize + i);
+                const Instruction& instr = code_[w][s.pc - s.bufSize + i];
                 ibuf_[w * depth_ + i] = instr;
                 ++bufCls_[w * kNumUnitClasses +
                           static_cast<std::size_t>(instr.unit)];
@@ -349,7 +349,8 @@ class WarpSet
     std::size_t n_ = 0;
     std::size_t depth_ = 0;
 
-    std::vector<const Program*> progs_;
+    /** Each warp's instructions, owned by the caller's Programs. */
+    std::vector<const Instruction*> code_;
     std::vector<std::uint32_t> progSize_;
 
     // i-buffer: one depth_-slot ring per warp, flat.

@@ -21,7 +21,7 @@ SimSession::SimSession(const GpuConfig& config, ThreadPool* pool,
 }
 
 void
-SimSession::buildSms(const std::vector<std::vector<Program>>& per_sm)
+SimSession::buildSms(std::vector<std::vector<Program>> per_sm)
 {
     if (per_sm.empty())
         fatal("SimSession: no SM workloads");
@@ -42,7 +42,7 @@ SimSession::buildSms(const std::vector<std::vector<Program>>& per_sm)
     sms_.reserve(n);
     for (unsigned s = 0; s < n; ++s)
         sms_.push_back(std::make_unique<Sm>(
-            config_.sm, per_sm[s], streamSeed(config_.seed, s),
+            config_.sm, std::move(per_sm[s]), streamSeed(config_.seed, s),
             collector_ ? collector_->recorder(s) : nullptr,
             metrics_ ? metrics_->sampler(s) : nullptr));
 }
@@ -62,7 +62,7 @@ SimSession::open(const BenchmarkProfile& profile, const GpuConfig& config,
         for (unsigned s = 0; s < config.numSms; ++s)
             per_sm.push_back(gen.generateSm(profile, s));
     }
-    session.buildSms(per_sm);
+    session.buildSms(std::move(per_sm));
     return session;
 }
 

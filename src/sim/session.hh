@@ -115,7 +115,7 @@ class SimSession
                metrics::Collector* metrics);
 
     /** Prepare collectors and construct the per-SM simulators. */
-    void buildSms(const std::vector<std::vector<Program>>& per_sm);
+    void buildSms(std::vector<std::vector<Program>> per_sm);
 
     /** Run fn(s) for every SM, pooled when a pool is attached. */
     template <typename Fn>

@@ -248,7 +248,7 @@ class Sm
     metrics::EpochCounters sampleCounters() const;
 
     SmConfig config_;
-    std::vector<Program> programs_;
+    std::vector<Program> programs_; ///< owns the storage warps_ reads
     WarpSet warps_;
     Scoreboard scoreboard_;
     std::unique_ptr<Scheduler> scheduler_;

@@ -68,8 +68,13 @@ ProgramGenerator::generate(const BenchmarkProfile& profile,
     std::vector<Instruction> instrs;
     instrs.reserve(static_cast<std::size_t>(profile.kernelLength));
 
-    // Recent destinations, newest first, for dependency synthesis.
-    std::vector<RegId> recent;
+    // Recent destinations for dependency synthesis: a ring of the last
+    // kRecentCap, of which the newest recent_size are live. The live
+    // count grows to kRecentCap, then drops back to kRegWindow.
+    constexpr std::size_t kRecentCap = 2 * kRegWindow;
+    std::array<RegId, kRecentCap> recent{};
+    std::size_t recent_head = 0; // slot of the newest entry
+    std::size_t recent_size = 0;
     RegId next_reg = 0;
 
     auto alloc_dest = [&]() {
@@ -79,23 +84,24 @@ ProgramGenerator::generate(const BenchmarkProfile& profile,
     };
 
     auto note_dest = [&](RegId r) {
-        recent.insert(recent.begin(), r);
-        if (recent.size() > 2 * kRegWindow)
-            recent.resize(kRegWindow);
+        recent_head = (recent_head + 1) % kRecentCap;
+        recent[recent_head] = r;
+        if (++recent_size > kRecentCap)
+            recent_size = kRegWindow;
     };
 
+    const std::size_t dep_window =
+        static_cast<std::size_t>(std::max(profile.depWindow, 1));
     auto pick_src = [&](bool force) -> RegId {
-        if (recent.empty())
+        if (recent_size == 0)
             return kNoReg;
         if (!force && !rng.nextBool(profile.depProb))
             return kNoReg;
-        std::uint32_t dist = rng.nextGeometric(0.5);
-        std::uint32_t limit = static_cast<std::uint32_t>(
-            std::min<std::size_t>(recent.size(),
-                                  std::max(profile.depWindow, 1)));
+        std::size_t dist = geometricHalf(rng.nextU32());
+        std::size_t limit = std::min(recent_size, dep_window);
         if (dist >= limit)
             dist = limit - 1;
-        return recent[dist];
+        return recent[(recent_head + kRecentCap - dist) % kRecentCap];
     };
 
     const double frac_ldst = std::max(profile.fracLdst, 1e-6);

@@ -32,7 +32,8 @@ class ProgramGenerator
     Program generate(const BenchmarkProfile& profile, std::uint64_t salt);
 
     /**
-     * Generate programs for all resident warps of one SM.
+     * Generate programs for all resident warps of one SM. The warps of
+     * one CTA get copies of one Program, so they share its storage.
      * @param sm_salt distinguishes SMs so they do not run in lock-step.
      */
     std::vector<Program> generateSm(const BenchmarkProfile& profile,

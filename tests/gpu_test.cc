@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.hh"
 #include "core/presets.hh"
+#include "report/export.hh"
 #include "sim/gpu.hh"
+#include "workload/generator.hh"
 #include "workload/synthetic.hh"
 
 namespace wg {
@@ -123,6 +126,46 @@ TEST(Gpu, RunProgramsOverridesSmCount)
     EXPECT_EQ(
         r.aggregate.issuedByClass[static_cast<std::size_t>(UnitClass::Fp)],
         100u);
+}
+
+TEST(ProgramSharing, CopySharesStorage)
+{
+    const Program a = pureProgram(UnitClass::Int, 10);
+    const Program b = a;
+    EXPECT_EQ(&a.at(0), &b.at(0));
+    EXPECT_EQ(b.size(), 10u);
+    EXPECT_EQ(b.countOf(UnitClass::Int), 10u);
+}
+
+TEST(ProgramSharing, WarpsOfOneCtaShareOneVector)
+{
+    ProgramGenerator gen(1);
+    const BenchmarkProfile& p = findBenchmark("hotspot");
+    const std::vector<Program> warps = gen.generateSm(p, 0);
+    const std::size_t cta = static_cast<std::size_t>(p.ctaWarps);
+    ASSERT_GT(warps.size(), cta);
+    for (std::size_t w = 0; w < warps.size(); ++w)
+        EXPECT_EQ(&warps[w].at(0), &warps[w - w % cta].at(0)) << w;
+    EXPECT_NE(&warps[0].at(0), &warps[cta].at(0));
+}
+
+TEST(ProgramSharing, OneHandleOnEveryPooledSmMatchesDeepCopies)
+{
+    const unsigned sms = 4;
+    Gpu gpu(smallConfig(sms, Technique::WarpedGates));
+    ProgramGenerator gen(gpu.config().seed);
+    const std::vector<Program> warps = gen.generateSm(tinyProfile(), 0);
+
+    const std::vector<std::vector<Program>> shared(sms, warps);
+    std::vector<std::vector<Program>> copies(sms);
+    for (auto& sm : copies)
+        for (const Program& w : warps)
+            sm.emplace_back(std::vector<Instruction>(
+                w.instructions().begin(), w.instructions().end()));
+
+    ThreadPool pool(sms);
+    EXPECT_EQ(toJson("r", gpu.runPrograms(shared, &pool)),
+              toJson("r", gpu.runPrograms(copies, &pool)));
 }
 
 TEST(Gpu, DerivedMetricsInRange)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -107,24 +109,51 @@ TEST(Rng, BoolProbabilityApprox)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, GeometricEdgeCases)
+/** The inverse-CDF formula geometricHalf() must reproduce exactly. */
+std::uint32_t
+geometricByLog(std::uint32_t m)
 {
-    Rng rng(19);
-    EXPECT_EQ(rng.nextGeometric(1.0), 0u);
-    EXPECT_EQ(rng.nextGeometric(2.0), 0u);
-    EXPECT_EQ(rng.nextGeometric(0.0), 0xffffffffu);
+    double u = m * (1.0 / 4294967296.0);
+    if (u <= 0.0)
+        u = 1e-12;
+    return static_cast<std::uint32_t>(
+        std::floor(std::log(u) / std::log1p(-0.5)));
 }
 
-TEST(Rng, GeometricMeanApprox)
+TEST(GeometricHalf, MatchesLogAtPowersOfTwoAndNeighbours)
 {
-    // E[failures before success] = (1-p)/p.
+    for (unsigned j = 0; j < 32; ++j) {
+        const std::uint32_t p = 1u << j;
+        for (std::uint32_t m : {p - 1, p, p + 1})
+            EXPECT_EQ(geometricHalf(m), geometricByLog(m)) << "m = " << m;
+    }
+}
+
+TEST(GeometricHalf, MatchesLogAtTheEnds)
+{
+    EXPECT_EQ(geometricHalf(0), geometricByLog(0));
+    EXPECT_EQ(geometricHalf(0xffffffffu), geometricByLog(0xffffffffu));
+    EXPECT_EQ(geometricHalf(0xffffffffu), 0u);
+}
+
+TEST(GeometricHalf, MatchesLogOverASeededSweep)
+{
+    Rng rng(29);
+    for (int i = 0; i < (1 << 21); ++i) {
+        const std::uint32_t m = rng.nextU32();
+        ASSERT_EQ(geometricHalf(m), geometricByLog(m)) << "m = " << m;
+    }
+}
+
+TEST(GeometricHalf, MeanIsOne)
+{
+    // E[failures before success] = (1-p)/p = 1 at p = 0.5.
     Rng rng(23);
-    const double p = 0.25;
     double acc = 0.0;
     const int n = 50000;
     for (int i = 0; i < n; ++i)
-        acc += rng.nextGeometric(p);
-    EXPECT_NEAR(acc / n, (1.0 - p) / p, 0.1);
+        acc += geometricHalf(rng.nextU32());
+    EXPECT_NEAR(acc / n, 1.0, 0.05);
 }
 
 TEST(Rng, ForkIsDeterministic)
