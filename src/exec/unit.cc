@@ -1,34 +1,48 @@
 #include "unit.hh"
 
 #include <algorithm>
-
-#include "common/logging.hh"
+#include <functional>
 
 namespace wg {
 
-ExecUnit::ExecUnit(UnitClass cls, unsigned index,
-                   const ExecUnitConfig& config)
-    : class_(cls), index_(index), config_(config)
+namespace {
+
+/** Most events in flight when each lives @p span cycles and issues are
+ *  at least @p ii apart (both already validated non-zero). */
+std::size_t
+inFlightBound(Cycle span, Cycle ii)
 {
-    if (config_.latency == 0)
-        fatal("ExecUnitConfig: zero latency");
-    if (config_.initiationInterval == 0)
-        fatal("ExecUnitConfig: zero initiation interval");
-    if (config_.occupancy == 0)
-        config_.occupancy = config_.latency;
-    name_ = std::string(unitClassName(cls)) + std::to_string(index);
+    return static_cast<std::size_t>((span + ii - 1) / ii);
 }
 
-void
-ExecUnit::issue(Cycle now, Cycle complete, WarpId warp, RegId dest,
-                bool long_latency)
+ExecUnitConfig
+checkedConfig(ExecUnitConfig c)
 {
-    if (!canAccept(now))
-        panic(name_, ": issue() while port busy at cycle ", now);
-    last_issue_ = now;
-    ++issues_;
-    occupancy_.push(now + config_.occupancy);
-    completions_.push(Completion{complete, warp, dest, long_latency});
+    if (c.latency == 0)
+        fatal("ExecUnitConfig: zero latency");
+    if (c.initiationInterval == 0)
+        fatal("ExecUnitConfig: zero initiation interval");
+    if (c.occupancy == 0)
+        c.occupancy = c.latency;
+    return c;
+}
+
+} // namespace
+
+ExecUnit::ExecUnit(UnitClass cls, unsigned index,
+                   const ExecUnitConfig& config)
+    : class_(cls), index_(index), config_(checkedConfig(config)),
+      name_(std::string(unitClassName(cls)) + std::to_string(index)),
+      fixed_latency_(cls != UnitClass::Ldst),
+      max_occupancy_(
+          inFlightBound(config_.occupancy, config_.initiationInterval)),
+      max_completions_(fixed_latency_
+                           ? inFlightBound(config_.latency,
+                                           config_.initiationInterval)
+                           : 0),
+      occupancy_(max_occupancy_),
+      fixed_done_(std::max<std::size_t>(max_completions_, 1))
+{
 }
 
 ExecUnitState
@@ -37,17 +51,20 @@ ExecUnit::saveState() const
     ExecUnitState s;
     s.lastIssue = last_issue_;
     s.issues = issues_;
-    auto occ = occupancy_;
-    while (!occ.empty()) {
-        s.occupancy.push_back(occ.top());
-        occ.pop();
+    for (std::size_t i = 0; i < occupancy_.size(); ++i)
+        s.occupancy.push_back(occupancy_[i]);
+    if (fixed_latency_) {
+        // Distinct, ascending done cycles: already the canonical order.
+        for (std::size_t i = 0; i < fixed_done_.size(); ++i)
+            s.completions.push_back(fixed_done_[i]);
+        return s;
     }
-    auto comp = completions_;
-    while (!comp.empty()) {
-        s.completions.push_back(comp.top());
-        comp.pop();
+    auto heap = memory_done_;
+    while (!heap.empty()) {
+        s.completions.push_back(heap.top());
+        heap.pop();
     }
-    // The heaps pop in done order but ties pop in layout-history order;
+    // The heap pops in done order but ties pop in layout-history order;
     // impose the full canonical order so equal states give equal bytes.
     std::sort(s.completions.begin(), s.completions.end(),
               [](const Completion& a, const Completion& b) {
@@ -62,17 +79,45 @@ ExecUnit::saveState() const
     return s;
 }
 
+const char*
+ExecUnit::checkState(const ExecUnitState& s) const
+{
+    if (s.occupancy.size() > max_occupancy_)
+        return "more occupancy slots than the unit holds in flight";
+    if (std::adjacent_find(s.occupancy.begin(), s.occupancy.end(),
+                           std::greater_equal<Cycle>()) !=
+        s.occupancy.end())
+        return "occupancy ends not ascending";
+    if (!fixed_latency_)
+        return nullptr;
+    if (s.completions.size() > max_completions_)
+        return "more completions than the unit holds in flight";
+    if (std::adjacent_find(s.completions.begin(), s.completions.end(),
+                           [](const Completion& a, const Completion& b) {
+                               return a.done >= b.done;
+                           }) != s.completions.end())
+        return "completions not ascending";
+    return nullptr;
+}
+
 void
 ExecUnit::restoreState(const ExecUnitState& s)
 {
+    if (const char* why = checkState(s))
+        panic(name_, ": restoreState: ", why);
     last_issue_ = s.lastIssue;
     issues_ = s.issues;
-    occupancy_ = {};
+    occupancy_.clear();
     for (Cycle c : s.occupancy)
         occupancy_.push(c);
-    completions_ = {};
-    for (const Completion& c : s.completions)
-        completions_.push(c);
+    fixed_done_.clear();
+    memory_done_ = {};
+    for (const Completion& c : s.completions) {
+        if (fixed_latency_)
+            fixed_done_.push(c);
+        else
+            memory_done_.push(c);
+    }
 }
 
 } // namespace wg

@@ -18,6 +18,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <queue>
 #include <string>
@@ -25,6 +27,7 @@
 
 #include "arch/instr.hh"
 #include "common/fields.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace wg {
@@ -57,10 +60,12 @@ struct Completion
 };
 
 /**
- * Checkpoint state of one execution unit. The two heaps are captured
- * as sorted vectors (occupancy ascending; completions by (done, warp,
- * dest, longLatency)) so identical simulator states serialize to
- * identical bytes regardless of heap layout history.
+ * Checkpoint state of one execution unit: the occupancy ends ascending
+ * and the completions in (done, warp, dest, longLatency) order, so
+ * identical simulator states serialize to identical bytes. Restoring
+ * requires the occupancy list, and a fixed-latency unit's completion
+ * list, to be strictly ascending and no longer than the unit can hold
+ * in flight (ExecUnit::checkState).
  */
 struct ExecUnitState {
     Cycle lastIssue = kNeverCycle;      ///< initiation-interval anchor
@@ -80,8 +85,89 @@ struct ExecUnitState {
 };
 
 /**
+ * FIFO of one unit's in-flight events, oldest first. It is sized for
+ * the unit's in-flight bound, rounded up to a power of two so the wrap
+ * is a mask; under the SM's tick-before-issue protocol it never grows.
+ * A caller that skips ticks (a unit test) only makes it grow.
+ */
+template <typename T>
+class InFlightRing
+{
+  public:
+    /** @param capacity events held before the first growth (>= 1) */
+    explicit InFlightRing(std::size_t capacity)
+        : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1)
+    {
+    }
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const T& front() const { return slots_[head_]; }
+
+    /** @p i-th oldest event (0 = front()). */
+    const T&
+    operator[](std::size_t i) const
+    {
+        return slots_[(head_ + i) & mask_];
+    }
+
+    void
+    push(const T& v)
+    {
+        if (size_ == slots_.size())
+            grow();
+        slots_[(head_ + size_) & mask_] = v;
+        ++size_;
+    }
+
+    void
+    pop()
+    {
+        head_ = (head_ + 1) & mask_;
+        --size_;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+  private:
+    /** Double the slots, unwrapping the events to the front. */
+    void
+    grow()
+    {
+        std::vector<T> bigger(slots_.size() * 2);
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i] = (*this)[i];
+        slots_ = std::move(bigger);
+        mask_ = slots_.size() - 1;
+        head_ = 0;
+    }
+
+    std::vector<T> slots_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+};
+
+/**
  * One pipelined cluster. The SM drives it with issue() and tick();
  * the power-gating controller observes busy().
+ *
+ * In-flight events live in FIFOs where their order is fixed by issue
+ * order. Occupancy ends are issue + occupancy with strictly rising
+ * issue cycles (II >= 1), so they rise; so do the completions of a
+ * fixed-latency unit (INT, FP, SFU: done = issue + latency). Only the
+ * LD/ST unit, whose results come back when the memory system says,
+ * keeps its completions in a min-heap.
+ *
+ * The SM calls tick(now) and drainCompletions(now) before any
+ * issue(now), so a FIFO never holds more than the unit's in-flight
+ * bound (maxOccupancy(), maxCompletions()); a snapshot whose lists
+ * exceed it did not come from a run.
  */
 class ExecUnit
 {
@@ -103,19 +189,37 @@ class ExecUnit
     /**
      * Issue a warp instruction.
      * @param now issue cycle (canAccept(now) must hold)
-     * @param complete cycle the result is visible (scoreboard clear)
+     * @param complete cycle the result is visible (scoreboard clear);
+     *        now + latency() on a fixed-latency unit
      * @param warp issuing warp
      * @param dest destination register or kNoReg
      * @param long_latency marks global-miss loads
      */
-    void issue(Cycle now, Cycle complete, WarpId warp, RegId dest,
-               bool long_latency);
+    void
+    issue(Cycle now, Cycle complete, WarpId warp, RegId dest,
+          bool long_latency)
+    {
+        if (!canAccept(now))
+            panic(name_, ": issue() while port busy at cycle ", now);
+        last_issue_ = now;
+        ++issues_;
+        occupancy_.push(now + config_.occupancy);
+        const Completion c{complete, warp, dest, long_latency};
+        if (!fixed_latency_) {
+            memory_done_.push(c);
+            return;
+        }
+        if (complete != now + config_.latency)
+            panic(name_, ": completion at ", complete, " for an issue at ",
+                  now, " breaks the fixed latency ", config_.latency);
+        fixed_done_.push(c);
+    }
 
     /** Retire finished occupancy slots; call once per cycle. */
     void
     tick(Cycle now)
     {
-        while (!occupancy_.empty() && occupancy_.top() <= now)
+        while (!occupancy_.empty() && occupancy_.front() <= now)
             occupancy_.pop();
     }
 
@@ -132,12 +236,9 @@ class ExecUnit
     Cycle
     nextEventCycle() const
     {
-        Cycle e = kNeverCycle;
-        if (!occupancy_.empty())
-            e = occupancy_.top();
-        if (!completions_.empty() && completions_.top().done < e)
-            e = completions_.top().done;
-        return e;
+        const Cycle e =
+            occupancy_.empty() ? kNeverCycle : occupancy_.front();
+        return std::min(e, nextCompletionCycle());
     }
 
     /**
@@ -150,15 +251,17 @@ class ExecUnit
     Cycle
     nextCompletionCycle() const
     {
-        return completions_.empty() ? kNeverCycle
-                                    : completions_.top().done;
+        if (fixed_latency_)
+            return fixed_done_.empty() ? kNeverCycle
+                                       : fixed_done_.front().done;
+        return memory_done_.empty() ? kNeverCycle
+                                    : memory_done_.top().done;
     }
 
     /**
      * Cycle at which busy() flips to false if nothing more issues
-     * (0 when already idle). Occupancy ends are issue + occupancy with
-     * monotonically increasing issue cycles, so the latest end is the
-     * last issue's.
+     * (0 when already idle). Occupancy ends rise with issue order, so
+     * the latest end is the last issue's.
      */
     Cycle
     busyUntil() const
@@ -182,13 +285,25 @@ class ExecUnit
                    : last_issue_ + config_.initiationInterval;
     }
 
-    /** Move completions due at or before @p now into @p out. */
+    /**
+     * Hand every completion due at or before @p now to @p retire, in
+     * done order (the LD/ST heap breaks ties by its layout history).
+     */
+    template <typename Retire>
     void
-    drainCompletions(Cycle now, std::vector<Completion>& out)
+    drainCompletions(Cycle now, Retire&& retire)
     {
-        while (!completions_.empty() && completions_.top().done <= now) {
-            out.push_back(completions_.top());
-            completions_.pop();
+        if (fixed_latency_) {
+            while (!fixed_done_.empty() && fixed_done_.front().done <= now) {
+                retire(fixed_done_.front());
+                fixed_done_.pop();
+            }
+            return;
+        }
+        while (!memory_done_.empty() && memory_done_.top().done <= now) {
+            const Completion c = memory_done_.top();
+            memory_done_.pop();
+            retire(c);
         }
     }
 
@@ -202,10 +317,33 @@ class ExecUnit
     /** @return configured result latency. */
     Cycle latency() const { return config_.latency; }
 
-    /** Capture heap contents + issue bookkeeping for a checkpoint. */
+    /**
+     * Most occupancy slots in flight at once: ceil(occupancy / II).
+     * Ends alive after tick(t) and an issue at t come from issues in
+     * [t - occupancy + 1, t], at least II apart.
+     */
+    std::size_t maxOccupancy() const { return max_occupancy_; }
+
+    /**
+     * Most completions in flight at once: ceil(latency / II) for a
+     * fixed-latency unit (the same argument over drainCompletions),
+     * 0 for LD/ST, whose count the memory system bounds instead.
+     */
+    std::size_t maxCompletions() const { return max_completions_; }
+
+    /** Capture in-flight events + issue bookkeeping for a checkpoint. */
     ExecUnitState saveState() const;
 
-    /** Rebuild the unit mid-flight from a captured ExecUnitState. */
+    /**
+     * Why @p s cannot be restored into this unit — an occupancy list,
+     * or a fixed-latency completion list, that is not strictly
+     * ascending or holds more than the unit can have in flight — or
+     * null when it can.
+     */
+    const char* checkState(const ExecUnitState& s) const;
+
+    /** Rebuild the unit mid-flight from a captured ExecUnitState
+     *  (checkState(s) must accept it). */
     void restoreState(const ExecUnitState& s);
 
   private:
@@ -213,15 +351,20 @@ class ExecUnit
     unsigned index_;
     ExecUnitConfig config_;
     std::string name_;
+    bool fixed_latency_; ///< completions are issue + latency (not LD/ST)
+    std::size_t max_occupancy_;   ///< see maxOccupancy()
+    std::size_t max_completions_; ///< see maxCompletions()
 
     Cycle last_issue_ = kNeverCycle; ///< for initiation-interval check
     std::uint64_t issues_ = 0;
 
-    /** Min-heap of occupancy-end cycles. */
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
-        occupancy_;
+    /** Occupancy-end cycles, ascending. */
+    InFlightRing<Cycle> occupancy_;
 
-    /** Min-heap of pending completions, ordered by done cycle. */
+    /** Pending completions of a fixed-latency unit, ascending done. */
+    InFlightRing<Completion> fixed_done_;
+
+    /** Min-heap of LD/ST completions, ordered by done cycle. */
     struct CompletionLater
     {
         bool
@@ -232,7 +375,7 @@ class ExecUnit
     };
     std::priority_queue<Completion, std::vector<Completion>,
                         CompletionLater>
-        completions_;
+        memory_done_;
 };
 
 } // namespace wg

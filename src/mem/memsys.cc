@@ -13,71 +13,6 @@ MemorySystem::MemorySystem(const MemConfig& config, Rng rng)
         fatal("MemConfig: mshrLimit must be positive");
 }
 
-Cycle
-MemorySystem::access(Cycle now, MemClass mem, bool is_store)
-{
-    if (mem == MemClass::None)
-        panic("MemorySystem::access with MemClass::None");
-
-    if (is_store) {
-        // Stores retire through a write buffer: short occupancy and no
-        // MSHR pressure in this model.
-        ++stores_;
-        return now + config_.storeLatency;
-    }
-
-    if (mem == MemClass::Hit) {
-        ++hits_;
-        return now + config_.hitLatency;
-    }
-
-    ++misses_;
-    // Bandwidth: assign the miss to the first DRAM service batch at or
-    // after `now` with free capacity; all misses of one batch complete
-    // together.
-    const Cycle period = config_.serviceBatchPeriod;
-    Cycle round_up = ((now + period - 1) / period) * period;
-    if (!batch_valid_ || batch_time_ < round_up) {
-        batch_time_ = round_up;
-        batch_used_ = 0;
-        batch_latency_ = drawMissLatency();
-        batch_valid_ = true;
-    }
-    while (batch_used_ >= config_.serviceBatchSize) {
-        batch_time_ += period;
-        batch_used_ = 0;
-        batch_latency_ = drawMissLatency();
-    }
-    ++batch_used_;
-    Cycle done = batch_time_ + batch_latency_;
-    inflight_.push(done);
-    if (trace_)
-        trace_->record(now, trace::EventKind::MshrFill,
-                       static_cast<std::uint8_t>(UnitClass::Ldst),
-                       trace::kNoCluster, 0, outstanding());
-    return done;
-}
-
-Cycle
-MemorySystem::drawMissLatency()
-{
-    Cycle span = config_.missLatencyMax - config_.missLatencyMin + 1;
-    return config_.missLatencyMin +
-           rng_.nextRange(static_cast<std::uint32_t>(span));
-}
-
-void
-MemorySystem::tick(Cycle now)
-{
-    while (!inflight_.empty() && inflight_.top() <= now) {
-        inflight_.pop();
-        if (trace_)
-            trace_->record(now, trace::EventKind::MshrDrain,
-                           static_cast<std::uint8_t>(UnitClass::Ldst),
-                           trace::kNoCluster, 0, outstanding());
-    }
-}
-
 MemSystemState
 MemorySystem::saveState() const
 {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sched/bitmask.hh"
@@ -185,6 +186,74 @@ class MemorySystem
     std::uint64_t mshr_rejects_ = 0;
     trace::Recorder* trace_ = nullptr;
 };
+
+// The per-cycle path is defined here, not in memsys.cc, so the SM's
+// step compiles it inline (DESIGN §14 "One inlined stepped cycle").
+
+inline Cycle
+MemorySystem::access(Cycle now, MemClass mem, bool is_store)
+{
+    if (mem == MemClass::None)
+        panic("MemorySystem::access with MemClass::None");
+
+    if (is_store) {
+        // Stores retire through a write buffer: short occupancy and no
+        // MSHR pressure in this model.
+        ++stores_;
+        return now + config_.storeLatency;
+    }
+
+    if (mem == MemClass::Hit) {
+        ++hits_;
+        return now + config_.hitLatency;
+    }
+
+    ++misses_;
+    // Bandwidth: assign the miss to the first DRAM service batch at or
+    // after `now` with free capacity; all misses of one batch complete
+    // together.
+    const Cycle period = config_.serviceBatchPeriod;
+    Cycle round_up = ((now + period - 1) / period) * period;
+    if (!batch_valid_ || batch_time_ < round_up) {
+        batch_time_ = round_up;
+        batch_used_ = 0;
+        batch_latency_ = drawMissLatency();
+        batch_valid_ = true;
+    }
+    while (batch_used_ >= config_.serviceBatchSize) {
+        batch_time_ += period;
+        batch_used_ = 0;
+        batch_latency_ = drawMissLatency();
+    }
+    ++batch_used_;
+    Cycle done = batch_time_ + batch_latency_;
+    inflight_.push(done);
+    if (trace_)
+        trace_->record(now, trace::EventKind::MshrFill,
+                       static_cast<std::uint8_t>(UnitClass::Ldst),
+                       trace::kNoCluster, 0, outstanding());
+    return done;
+}
+
+inline Cycle
+MemorySystem::drawMissLatency()
+{
+    Cycle span = config_.missLatencyMax - config_.missLatencyMin + 1;
+    return config_.missLatencyMin +
+           rng_.nextRange(static_cast<std::uint32_t>(span));
+}
+
+inline void
+MemorySystem::tick(Cycle now)
+{
+    while (!inflight_.empty() && inflight_.top() <= now) {
+        inflight_.pop();
+        if (trace_)
+            trace_->record(now, trace::EventKind::MshrDrain,
+                           static_cast<std::uint8_t>(UnitClass::Ldst),
+                           trace::kNoCluster, 0, outstanding());
+    }
+}
 
 } // namespace wg
 

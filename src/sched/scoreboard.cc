@@ -1,34 +1,10 @@
 #include "scoreboard.hh"
 
-#include "common/logging.hh"
-
 namespace wg {
 
 Scoreboard::Scoreboard(std::size_t num_warps)
     : pending_(num_warps, 0), pendingLong_(num_warps, 0)
 {
-}
-
-void
-Scoreboard::markIssued(WarpId warp, const Instruction& instr)
-{
-    if (instr.dest == kNoReg)
-        return;
-    std::uint32_t b = bit(instr.dest);
-    if (pending_[warp] & b)
-        panic("scoreboard: WAW violation, warp ", warp, " reg ",
-              instr.dest);
-    pending_[warp] |= b;
-    if (instr.isLongLatency())
-        pendingLong_[warp] |= b;
-}
-
-void
-Scoreboard::complete(WarpId warp, RegId reg)
-{
-    std::uint32_t b = bit(reg);
-    pending_[warp] &= ~b;
-    pendingLong_[warp] &= ~b;
 }
 
 bool

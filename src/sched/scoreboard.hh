@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace wg {
@@ -115,6 +116,31 @@ class Scoreboard
     std::vector<std::uint32_t> pending_;     ///< in-flight producers
     std::vector<std::uint32_t> pendingLong_; ///< ... that are long-latency
 };
+
+// Defined here so the SM's step compiles them inline (DESIGN §14 "One
+// inlined stepped cycle").
+
+inline void
+Scoreboard::markIssued(WarpId warp, const Instruction& instr)
+{
+    if (instr.dest == kNoReg)
+        return;
+    std::uint32_t b = bit(instr.dest);
+    if (pending_[warp] & b)
+        panic("scoreboard: WAW violation, warp ", warp, " reg ",
+              instr.dest);
+    pending_[warp] |= b;
+    if (instr.isLongLatency())
+        pendingLong_[warp] |= b;
+}
+
+inline void
+Scoreboard::complete(WarpId warp, RegId reg)
+{
+    std::uint32_t b = bit(reg);
+    pending_[warp] &= ~b;
+    pendingLong_[warp] &= ~b;
+}
 
 } // namespace wg
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "sched/gates.hh"
@@ -125,34 +126,36 @@ Sm::writebackPhase()
 {
     mem_.tick(now_);
 
-    completions_.clear();
-    for (auto& u : int_) {
-        u.tick(now_);
-        u.drainCompletions(now_, completions_);
-    }
-    for (auto& u : fp_) {
-        u.tick(now_);
-        u.drainCompletions(now_, completions_);
-    }
-    sfu_.tick(now_);
-    sfu_.drainCompletions(now_, completions_);
-    ldst_.tick(now_);
-    ldst_.drainCompletions(now_, completions_);
-
-    for (const auto& c : completions_) {
+    // Completions retire straight from each unit in the fixed unit
+    // order int0, int1, fp0, fp1, sfu, ldst; each touches only its own
+    // warp's slot and scoreboard word.
+    bool any = false;
+    auto retire = [this, &any](const Completion& c) {
+        any = true;
         warps_.noteComplete(c.warp);
         if (c.dest != kNoReg) {
             scoreboard_.complete(c.warp, c.dest);
             refreshWarp(c.warp);
         }
+    };
+    for (auto& u : int_) {
+        u.tick(now_);
+        u.drainCompletions(now_, retire);
     }
+    for (auto& u : fp_) {
+        u.tick(now_);
+        u.drainCompletions(now_, retire);
+    }
+    sfu_.tick(now_);
+    sfu_.drainCompletions(now_, retire);
+    ldst_.tick(now_);
+    ldst_.drainCompletions(now_, retire);
 
     // Un-block pending warps whose long-latency producer returned: a
     // pending warp stays parked exactly while its blocked-long bit
     // holds. Word-wide fast path; the vector walk (which preserves the
     // pending FIFO order) runs only when some warp actually unblocked.
-    if (!completions_.empty() &&
-        (warps_.locMask(WarpLoc::Pending) & ~blockedLongMask_) != 0) {
+    if (any && (warps_.locMask(WarpLoc::Pending) & ~blockedLongMask_) != 0) {
         std::size_t kept = 0;
         for (std::size_t i = 0; i < pending_.size(); ++i) {
             WarpId w = pending_[i];
@@ -525,7 +528,13 @@ Sm::schedulePhase(const SchedView& view)
     }
 }
 
-bool
+// Flattened: every phase and every per-cycle callee defined in a
+// header (PG domains and controller, exec units, memory system,
+// scoreboard, warp set) compiles into this one function. The benchmark
+// and default builds have no LTO, so a callee defined in a .cc file
+// stays an out-of-line call here (DESIGN §14 "One inlined stepped
+// cycle").
+[[gnu::flatten]] bool
 Sm::step()
 {
     if (done_)
@@ -590,7 +599,9 @@ Sm::step()
     return done_;
 }
 
-void
+// Flattened like step(): the horizon and replay callees (unit and
+// memory event tops, verdicts, the PG span math) compile inline.
+[[gnu::flatten]] void
 Sm::tryFastForward()
 {
     // Quiescence test, cheapest condition first. A cycle that issued
@@ -604,8 +615,8 @@ Sm::tryFastForward()
 
     // Component event horizon: the earliest cycle at which any
     // component's state can change on its own. Every cycle strictly
-    // before it replays this cycle's phases verbatim. Heap-top events
-    // (pipelines, memory) are the common span limiter, so compute them
+    // before it replays this cycle's phases verbatim. Pipeline and
+    // memory events are the common span limiter, so compute them
     // first and bail before the costlier analysis when the next event
     // is already due.
     Cycle h = run_limit_;
@@ -895,6 +906,15 @@ Sm::restore(const SmSnapshot& snap, std::string* error)
                 return fail("snapshot pg state out of range");
     if (snap.pg.sfuDomain.state > 3)
         return fail("snapshot pg state out of range");
+    // In-flight occupancy ends and fixed-latency completions live in
+    // bounded FIFOs: refuse lists no run can produce.
+    const std::pair<const ExecUnit&, const ExecUnitState&> units[] = {
+        {int_[0], snap.intUnits[0]}, {int_[1], snap.intUnits[1]},
+        {fp_[0], snap.fpUnits[0]},   {fp_[1], snap.fpUnits[1]},
+        {sfu_, snap.sfu},            {ldst_, snap.ldst}};
+    for (const auto& [unit, state] : units)
+        if (const char* why = unit.checkState(state))
+            return fail("snapshot exec unit " + unit.name() + ": " + why);
 
     // Residency lists must tile the non-finished warps: every listed
     // warp's slot must claim the matching location, exactly once.

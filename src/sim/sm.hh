@@ -301,7 +301,6 @@ class Sm
     WarpMask issued_mask_ = 0;
     /** View step() built this cycle; reused by tryFastForward. */
     SchedView view_;
-    std::vector<Completion> completions_;
 
     SmStats stats_;
 };

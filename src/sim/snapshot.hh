@@ -4,10 +4,11 @@
  *
  * An SmSnapshot captures everything a mid-run SM needs to continue
  * bit-identically: warp slots, scoreboard words, scheduler policy
- * state, execution-unit heaps, the memory system (including its RNG
- * stream position), the power-gating state machines, the residency
- * lists in their exact order, the partial SmStats, and — when the run
- * is observed — the epoch-sampler partials and the trace ring.
+ * state, execution-unit in-flight events, the memory system
+ * (including its RNG stream position), the power-gating state
+ * machines, the residency lists in their exact order, the partial
+ * SmStats, and — when the run is observed — the epoch-sampler partials
+ * and the trace ring.
  *
  * Deliberately NOT captured (recomputed or segment-local):
  *   - the i-buffer rings (re-decoded from the program at restore),

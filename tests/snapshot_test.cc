@@ -14,6 +14,7 @@
  * schema change with WG_REGEN_GOLDEN=1.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -461,6 +462,138 @@ TEST(SnapshotRestore, RefusesTraceSectionOfAnotherSchema)
     EXPECT_FALSE(
         serve::wire::gpuSnapshotFromJson(doc, "$", reloaded, error));
     EXPECT_NE(error.find("traceSchema"), std::string::npos) << error;
+}
+
+/**
+ * Capture hotspot at the first 16-cycle boundary where some INT/FP/SFU
+ * unit of SM 0 has at least two occupancy ends and two completions in
+ * flight. @return that unit's section of @p snap (null if none by
+ * cycle 4096).
+ */
+ExecUnitState*
+captureTwoInFlight(GpuSnapshot& snap)
+{
+    for (Cycle cut = 64; cut <= 4096; cut += 16) {
+        SimSession s =
+            SimSession::open(profile("hotspot"), config(), nullptr);
+        s.runUntil(cut);
+        snap = s.snapshot();
+        SmSnapshot& sm = snap.sms[0];
+        for (ExecUnitState* u : {&sm.intUnits[0], &sm.intUnits[1],
+                                 &sm.fpUnits[0], &sm.fpUnits[1], &sm.sfu})
+            if (u->occupancy.size() >= 2 && u->completions.size() >= 2)
+                return u;
+    }
+    return nullptr;
+}
+
+/** Restore @p snap; expect a clean refusal mentioning @p what. */
+void
+expectExecUnitRefusal(const GpuSnapshot& snap, const std::string& what)
+{
+    std::string error;
+    EXPECT_EQ(SimSession::restore(snap, profile("hotspot"), config(),
+                                  nullptr, nullptr, nullptr, &error),
+              nullptr);
+    EXPECT_NE(error.find("snapshot exec unit"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(what), std::string::npos) << error;
+}
+
+TEST(SnapshotRestore, RejectsExecUnitListsOutOfOrder)
+{
+    GpuSnapshot snap;
+    ExecUnitState* unit = captureTwoInFlight(snap);
+    ASSERT_NE(unit, nullptr);
+    const ExecUnitState kept = *unit;
+    std::string error;
+    ASSERT_NE(SimSession::restore(snap, profile("hotspot"), config(),
+                                  nullptr, nullptr, nullptr, &error),
+              nullptr)
+        << error;
+
+    std::swap(unit->occupancy[0], unit->occupancy[1]);
+    expectExecUnitRefusal(snap, "occupancy ends not ascending");
+    *unit = kept;
+    unit->occupancy[1] = unit->occupancy[0];
+    expectExecUnitRefusal(snap, "occupancy ends not ascending");
+    *unit = kept;
+    std::swap(unit->completions[0], unit->completions[1]);
+    expectExecUnitRefusal(snap, "completions not ascending");
+    *unit = kept;
+    unit->completions[1].done = unit->completions[0].done;
+    expectExecUnitRefusal(snap, "completions not ascending");
+}
+
+TEST(SnapshotRestore, RejectsExecUnitListsBeyondTheInFlightBound)
+{
+    GpuSnapshot snap;
+    ExecUnitState* unit = captureTwoInFlight(snap);
+    ASSERT_NE(unit, nullptr);
+    const ExecUnitState kept = *unit;
+    // The default ALU (4, II 1) and SFU (20, II 8) hold at most 4 and
+    // 3 events of each kind; ascending padding to 64 exceeds both.
+    while (unit->occupancy.size() < 64)
+        unit->occupancy.push_back(unit->occupancy.back() + 1);
+    expectExecUnitRefusal(snap, "more occupancy slots than the unit "
+                                "holds in flight");
+    *unit = kept;
+    while (unit->completions.size() < 64) {
+        Completion c = unit->completions.back();
+        ++c.done;
+        unit->completions.push_back(c);
+    }
+    expectExecUnitRefusal(snap, "more completions than the unit holds "
+                                "in flight");
+}
+
+TEST(SnapshotRestore, RealSnapshotsStayWithinTheInFlightBounds)
+{
+    // Capture every 8 cycles, fast-forward on and off (a skipped span
+    // leaves LD/ST occupancy ends in the past), over an ALU-, an SFU-
+    // and a memory-heavy profile: every list fits its unit's bound and
+    // every snapshot restores.
+    const SmConfig& cfg = config().sm;
+    const ExecUnit alu(UnitClass::Int, 0, cfg.alu);
+    const ExecUnit sfu(UnitClass::Sfu, 0, cfg.sfu);
+    const ExecUnit ldst(UnitClass::Ldst, 0, cfg.ldst);
+    auto within = [](const ExecUnitState& s, const ExecUnit& u) {
+        EXPECT_LE(s.occupancy.size(), u.maxOccupancy()) << u.name();
+        if (u.maxCompletions() > 0) {
+            EXPECT_LE(s.completions.size(), u.maxCompletions())
+                << u.name();
+        }
+    };
+    std::size_t most_int = 0, most_sfu = 0;
+    for (const char* bench : {"hotspot", "mri", "bfs"}) {
+        for (bool ff : {true, false}) {
+            SimSession s =
+                SimSession::open(profile(bench), config(ff), nullptr);
+            for (Cycle cut = 8; cut <= 2048 && !s.done(); cut += 8) {
+                s.runUntil(cut);
+                const GpuSnapshot snap = s.snapshot();
+                for (const SmSnapshot& sm : snap.sms) {
+                    for (unsigned c = 0; c < 2; ++c) {
+                        within(sm.intUnits[c], alu);
+                        within(sm.fpUnits[c], alu);
+                        most_int = std::max(
+                            most_int, sm.intUnits[c].completions.size());
+                    }
+                    within(sm.sfu, sfu);
+                    within(sm.ldst, ldst);
+                    most_sfu = std::max(most_sfu, sm.sfu.completions.size());
+                }
+                std::string error;
+                EXPECT_NE(SimSession::restore(snap, profile(bench),
+                                              config(ff), nullptr, nullptr,
+                                              nullptr, &error),
+                          nullptr)
+                    << bench << " cycle " << cut << ": " << error;
+            }
+        }
+    }
+    EXPECT_GE(most_int, 2u);
+    EXPECT_GE(most_sfu, 1u);
 }
 
 TEST(SnapshotRestore, SnapshotOfRestoredSessionIsIdentical)
