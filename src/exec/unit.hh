@@ -85,18 +85,19 @@ struct ExecUnitState {
 };
 
 /**
- * FIFO of one unit's in-flight events, oldest first. It is sized for
- * the unit's in-flight bound, rounded up to a power of two so the wrap
- * is a mask; under the SM's tick-before-issue protocol it never grows.
- * A caller that skips ticks (a unit test) only makes it grow.
+ * FIFO of one unit's in-flight events, oldest first, holding at most
+ * the unit's in-flight bound. The slots are rounded up to a power of
+ * two so the wrap is a mask. Under the SM's tick-and-drain-before-issue
+ * protocol the bound is never exceeded; a push beyond it panics.
  */
 template <typename T>
 class InFlightRing
 {
   public:
-    /** @param capacity events held before the first growth (>= 1) */
+    /** @param capacity most events held at once (>= 1) */
     explicit InFlightRing(std::size_t capacity)
-        : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1)
+        : slots_(std::bit_ceil(capacity)), mask_(slots_.size() - 1),
+          capacity_(capacity)
     {
     }
 
@@ -114,8 +115,9 @@ class InFlightRing
     void
     push(const T& v)
     {
-        if (size_ == slots_.size())
-            grow();
+        if (size_ == capacity_)
+            panic("more than ", capacity_,
+                  " events in flight: tick and drain before issue");
         slots_[(head_ + size_) & mask_] = v;
         ++size_;
     }
@@ -135,20 +137,9 @@ class InFlightRing
     }
 
   private:
-    /** Double the slots, unwrapping the events to the front. */
-    void
-    grow()
-    {
-        std::vector<T> bigger(slots_.size() * 2);
-        for (std::size_t i = 0; i < size_; ++i)
-            bigger[i] = (*this)[i];
-        slots_ = std::move(bigger);
-        mask_ = slots_.size() - 1;
-        head_ = 0;
-    }
-
     std::vector<T> slots_;
     std::size_t mask_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };
@@ -166,8 +157,9 @@ class InFlightRing
  *
  * The SM calls tick(now) and drainCompletions(now) before any
  * issue(now), so a FIFO never holds more than the unit's in-flight
- * bound (maxOccupancy(), maxCompletions()); a snapshot whose lists
- * exceed it did not come from a run.
+ * bound (maxOccupancy(), maxCompletions()): an issue that would exceed
+ * it panics, and a snapshot whose lists exceed it did not come from a
+ * run.
  */
 class ExecUnit
 {

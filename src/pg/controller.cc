@@ -30,6 +30,71 @@ PgController::PgController(const PgParams& params)
              "event instantly compensated");
 }
 
+Cycle
+PgController::nextEventCycle(
+    Cycle now, const std::array<bool, kClustersPerType>& int_busy,
+    const std::array<bool, kClustersPerType>& fp_busy,
+    const SchedView& view, bool sfu_busy) const
+{
+    Cycle h = sfu_domain_.nextEventCycle(now, sfu_busy,
+                                         params_.idleDetect, false, 0);
+
+    const std::array<std::uint32_t, 2> actv = {
+        view.actv[static_cast<std::size_t>(UnitClass::Int)],
+        view.actv[static_cast<std::size_t>(UnitClass::Fp)],
+    };
+    for (unsigned t = 0; t < 2; ++t) {
+        Cycle idle_detect = params_.adaptiveIdleDetect
+                                ? adaptive_[t].value()
+                                : params_.idleDetect;
+        const auto& busy = t == 0 ? int_busy : fp_busy;
+        for (unsigned c = 0; c < kClustersPerType; ++c) {
+            bool peer_gated = domains_[t][1 - c].isGated();
+            Cycle e = domains_[t][c].nextEventCycle(
+                now, busy[c], idle_detect, peer_gated, actv[t]);
+            if (e < h)
+                h = e;
+        }
+    }
+
+    if (params_.adaptiveIdleDetect) {
+        Cycle edge = epoch_start_ + params_.epochLength - 1;
+        if (edge < h)
+            h = edge;
+    }
+    return h;
+}
+
+void
+PgController::fastForward(
+    Cycle now, Cycle n,
+    const std::array<bool, kClustersPerType>& int_busy,
+    const std::array<bool, kClustersPerType>& fp_busy,
+    const SchedView& view, bool sfu_busy)
+{
+    (void)now;
+    sfu_domain_.fastForward(n, sfu_busy, params_.idleDetect, false, 0);
+
+    const std::array<std::uint32_t, 2> actv = {
+        view.actv[static_cast<std::size_t>(UnitClass::Int)],
+        view.actv[static_cast<std::size_t>(UnitClass::Fp)],
+    };
+    for (unsigned t = 0; t < 2; ++t) {
+        Cycle idle_detect = params_.adaptiveIdleDetect
+                                ? adaptive_[t].value()
+                                : params_.idleDetect;
+        const auto& busy = t == 0 ? int_busy : fp_busy;
+        for (unsigned c = 0; c < kClustersPerType; ++c) {
+            // The peer snapshot is stable inside a uniform span: every
+            // domain transition is itself a horizon event.
+            bool peer_gated = domains_[t][1 - c].isGated();
+            domains_[t][c].fastForward(n, busy[c], idle_detect,
+                                       peer_gated, actv[t]);
+        }
+    }
+    // No epoch rollover inside a span (the edge bounds the horizon).
+}
+
 void
 PgController::setTrace(trace::Recorder* recorder)
 {

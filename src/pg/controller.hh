@@ -191,9 +191,8 @@ class PgController
     trace::Recorder* trace_ = nullptr;
 };
 
-// The per-cycle and fast-forward paths are defined here, not in
-// controller.cc, so the SM's step and tryFastForward compile them inline
-// (DESIGN §14 "One inlined stepped cycle").
+// The per-cycle path is defined here, not in controller.cc, so the SM's
+// step compiles it inline (DESIGN §14 "One inlined stepped cycle").
 
 inline unsigned
 PgController::typeIndex(UnitClass uc)
@@ -300,71 +299,6 @@ PgController::tick(Cycle now,
         }
         epoch_start_ = now + 1;
     }
-}
-
-inline Cycle
-PgController::nextEventCycle(
-    Cycle now, const std::array<bool, kClustersPerType>& int_busy,
-    const std::array<bool, kClustersPerType>& fp_busy,
-    const SchedView& view, bool sfu_busy) const
-{
-    Cycle h = sfu_domain_.nextEventCycle(now, sfu_busy,
-                                         params_.idleDetect, false, 0);
-
-    const std::array<std::uint32_t, 2> actv = {
-        view.actv[static_cast<std::size_t>(UnitClass::Int)],
-        view.actv[static_cast<std::size_t>(UnitClass::Fp)],
-    };
-    for (unsigned t = 0; t < 2; ++t) {
-        Cycle idle_detect = params_.adaptiveIdleDetect
-                                ? adaptive_[t].value()
-                                : params_.idleDetect;
-        const auto& busy = t == 0 ? int_busy : fp_busy;
-        for (unsigned c = 0; c < kClustersPerType; ++c) {
-            bool peer_gated = domains_[t][1 - c].isGated();
-            Cycle e = domains_[t][c].nextEventCycle(
-                now, busy[c], idle_detect, peer_gated, actv[t]);
-            if (e < h)
-                h = e;
-        }
-    }
-
-    if (params_.adaptiveIdleDetect) {
-        Cycle edge = epoch_start_ + params_.epochLength - 1;
-        if (edge < h)
-            h = edge;
-    }
-    return h;
-}
-
-inline void
-PgController::fastForward(
-    Cycle now, Cycle n,
-    const std::array<bool, kClustersPerType>& int_busy,
-    const std::array<bool, kClustersPerType>& fp_busy,
-    const SchedView& view, bool sfu_busy)
-{
-    (void)now;
-    sfu_domain_.fastForward(n, sfu_busy, params_.idleDetect, false, 0);
-
-    const std::array<std::uint32_t, 2> actv = {
-        view.actv[static_cast<std::size_t>(UnitClass::Int)],
-        view.actv[static_cast<std::size_t>(UnitClass::Fp)],
-    };
-    for (unsigned t = 0; t < 2; ++t) {
-        Cycle idle_detect = params_.adaptiveIdleDetect
-                                ? adaptive_[t].value()
-                                : params_.idleDetect;
-        const auto& busy = t == 0 ? int_busy : fp_busy;
-        for (unsigned c = 0; c < kClustersPerType; ++c) {
-            // The peer snapshot is stable inside a uniform span: every
-            // domain transition is itself a horizon event.
-            bool peer_gated = domains_[t][1 - c].isGated();
-            domains_[t][c].fastForward(n, busy[c], idle_detect,
-                                       peer_gated, actv[t]);
-        }
-    }
-    // No epoch rollover inside a span (the edge bounds the horizon).
 }
 
 inline void

@@ -45,6 +45,78 @@ PgDomain::PgDomain(const PgParams& params, std::uint64_t hist_max)
 {
 }
 
+Cycle
+PgDomain::nextEventCycle(Cycle now, bool busy, Cycle idle_detect,
+                         bool coord_peer_gated,
+                         std::uint32_t coord_actv) const
+{
+    switch (state_) {
+      case PgState::On:
+        if (busy || params_.policy == PgPolicy::None)
+            return kNeverCycle;
+        if (params_.policy == PgPolicy::CoordinatedBlackout &&
+            coord_peer_gated) {
+            if (coord_actv == 0)
+                return now; // immediate second-cluster gate
+            if (idle_count_ + 1 >= idle_detect)
+                return kNeverCycle; // established veto regime: uniform
+            // The veto counter starts the cycle idle_count_ crosses
+            // the window — a per-cycle regime change.
+            return now + (idle_detect - idle_count_ - 1);
+        }
+        if (idle_count_ + 1 >= idle_detect)
+            return now; // gates this very cycle
+        return now + (idle_detect - idle_count_ - 1);
+
+      case PgState::Uncompensated:
+        // bet_remaining_ >= 1 here (0 transitions out immediately).
+        return now + bet_remaining_ - 1;
+
+      case PgState::Compensated:
+        return kNeverCycle; // leaves only on a wakeup request
+
+      case PgState::Wakeup:
+        return now + wakeup_remaining_ - 1;
+    }
+    return kNeverCycle;
+}
+
+void
+PgDomain::fastForward(Cycle n, bool busy, Cycle idle_detect,
+                      bool coord_peer_gated, std::uint32_t coord_actv)
+{
+    if (!busy)
+        idle_run_ += n; // run already open (>= 1 after the last tick)
+
+    switch (state_) {
+      case PgState::On:
+        if (busy) {
+            stats_.busyCycles += n; // idle_count_ already 0
+        } else {
+            stats_.idleOnCycles += n;
+            const bool veto_regime =
+                params_.policy == PgPolicy::CoordinatedBlackout &&
+                coord_peer_gated && coord_actv > 0 &&
+                idle_count_ + 1 >= idle_detect;
+            idle_count_ += n;
+            if (veto_regime)
+                stats_.coordGateVetoes += n;
+        }
+        break;
+      case PgState::Uncompensated:
+        stats_.uncompCycles += n;
+        bet_remaining_ -= n; // stays >= 1: span ends before expiry
+        break;
+      case PgState::Compensated:
+        stats_.compCycles += n;
+        break;
+      case PgState::Wakeup:
+        stats_.wakeupCycles += n;
+        wakeup_remaining_ -= n;
+        break;
+    }
+}
+
 void
 PgDomain::finalize(Cycle now)
 {

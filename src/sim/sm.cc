@@ -599,9 +599,7 @@ Sm::step()
     return done_;
 }
 
-// Flattened like step(): the horizon and replay callees (unit and
-// memory event tops, verdicts, the PG span math) compile inline.
-[[gnu::flatten]] void
+void
 Sm::tryFastForward()
 {
     // Quiescence test, cheapest condition first. A cycle that issued

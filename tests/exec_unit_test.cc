@@ -174,6 +174,9 @@ TEST_P(ExecUnitIi, SpacingMatchesInterval)
         if (k > 0) {
             EXPECT_EQ(now % ii, 0u);
         }
+        u.tick(now);
+        std::vector<Completion> out;
+        drainInto(u, now, out);
         u.issue(now, now + 30, 0, kNoReg, false);
     }
 }
@@ -364,8 +367,8 @@ expectSameProbes(const ExecUnit& u, const HeapUnit& ref, Cycle now,
  * Drive the unit and the reference with one seeded random sequence of
  * time steps (single cycles and fast-forward-sized jumps), ticks,
  * drains, issues and mid-flight saveState -> restoreState round trips,
- * comparing everything observable after every step. Most issues follow
- * the SM's tick-and-drain-first protocol; the rest skip it.
+ * comparing everything observable after every step. Every issue
+ * follows the SM's protocol: tick and drain at the issue cycle first.
  * @return the number of round trips taken
  */
 unsigned
@@ -400,11 +403,9 @@ runDifferential(const DiffCase& dc, std::uint64_t seed, unsigned steps)
         } else if (op < 55) {
             drainBoth(where);
         } else if (op < 95) {
-            if (rng.nextBool(0.8)) {
-                unit->tick(now);
-                ref.tick(now);
-                drainBoth(where);
-            }
+            unit->tick(now);
+            ref.tick(now);
+            drainBoth(where);
             if (unit->canAccept(now)) {
                 Cycle done = now + latency;
                 if (dc.cls == UnitClass::Ldst) {
@@ -433,20 +434,12 @@ runDifferential(const DiffCase& dc, std::uint64_t seed, unsigned steps)
             EXPECT_EQ(saved.occupancy, want.occupancy) << where;
             expectSameCompletions(saved.completions, want.completions,
                                   where + " saveState");
-            // A unit driven off the protocol may hold more than a run
-            // can; only then may checkState refuse the state.
-            if (unit->checkState(saved) == nullptr) {
-                unit = std::make_unique<ExecUnit>(dc.cls, 0, dc.config);
-                unit->restoreState(saved);
-                ref = HeapUnit(dc.config);
-                ref.restoreState(want);
-                ++trips;
-            } else {
-                EXPECT_TRUE(saved.occupancy.size() > unit->maxOccupancy() ||
-                            saved.completions.size() >
-                                unit->maxCompletions())
-                    << where;
-            }
+            EXPECT_EQ(unit->checkState(saved), nullptr) << where;
+            unit = std::make_unique<ExecUnit>(dc.cls, 0, dc.config);
+            unit->restoreState(saved);
+            ref = HeapUnit(dc.config);
+            ref.restoreState(want);
+            ++trips;
         }
         expectSameProbes(*unit, ref, now, where);
         if (::testing::Test::HasFailure())
@@ -550,6 +543,16 @@ TEST(ExecUnitDeath, RestoringARefusedStatePanics)
     ExecUnitState s;
     s.occupancy = {12, 11};
     EXPECT_DEATH(alu.restoreState(s), "occupancy ends not ascending");
+}
+
+TEST(ExecUnitDeath, IssueBeyondTheInFlightBoundPanics)
+{
+    // Without tick(), the ended slots of issues at 0, 8 and 16 are
+    // still held when 24 issues: one more than ceil(20 / 8).
+    ExecUnit u(UnitClass::Sfu, 0, {20, 8, 0});
+    for (Cycle now = 0; now < 24; now += 8)
+        u.issue(now, now + 20, 0, 1, false);
+    EXPECT_DEATH(u.issue(24, 44, 0, 1, false), "3 events in flight");
 }
 
 TEST(ExecUnitDeath, FixedLatencyCompletionMustBeIssuePlusLatency)
